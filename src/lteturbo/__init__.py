@@ -2,8 +2,8 @@
 
 Encoder, QPP interleaver, SISO component decoder with four selectable
 max* kernels, iterative turbo decoder, AWGN link simulation and
-operation-count accounting.  See README.md for a tour; the demos/
-directory holds narrative scripts for each capability.
+operation-count accounting.  The `turbosim` command line (lteturbo.cli)
+runs BER sweeps, throughput reports and interleaver dumps.
 """
 
 from .channel import (ChannelConfig, ChannelLlrs, awgn, block_rng,
@@ -20,8 +20,7 @@ from .siso import (BranchMetrics, MetricMatrix, OpCounts, SisoInput,
 from .trellis import (CodeWord, RscCodeword, TerminationBits, TrellisEdge,
                       TrellisSpec, lte_trellis, rsc_encode, turbo_encode)
 from .turbo import (DecodeResult, DecoderConfig, McResult, ber_vs_iterations,
-                    decode_to_convergence, run_monte_carlo, time_decode,
-                    turbo_decode)
+                    run_monte_carlo, turbo_decode)
 
 __version__ = "0.1.0"
 
@@ -38,5 +37,5 @@ __all__ = [
     "CodeWord", "RscCodeword", "TerminationBits", "TrellisEdge", "TrellisSpec",
     "lte_trellis", "rsc_encode", "turbo_encode",
     "DecodeResult", "DecoderConfig", "McResult", "ber_vs_iterations",
-    "decode_to_convergence", "run_monte_carlo", "time_decode", "turbo_decode",
+    "run_monte_carlo", "turbo_decode",
 ]

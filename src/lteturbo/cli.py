@@ -6,15 +6,23 @@
     turbosim interleave --n 40 --out perm.csv
 
 Outputs are batch CSV/text artifacts; `ber` output is byte-identical
-across runs and thread counts for a fixed seed.  Options may also come
-from a key=value config file (--config); explicit flags win.
+across runs for a fixed seed.  Options may also come from a key=value
+config file (--config); explicit flags win.  --threads is accepted and
+ignored: each SNR point is decoded in the calling thread.
 
-Exit codes: 0 success, 3 invalid block size, 4 malformed SNR range,
-5 unwritable output path (2 is argparse's own usage-error code).
+Exit codes (each error prints one `turbosim:` line on stderr):
+  0  success
+  2  usage error (argparse's own code)
+  3  unsupported block size --n
+  4  malformed SNR point or range: not a number, not finite, beyond
+     +-1000 dB, or a range of more than 10000 points
+  5  unwritable output path or unreadable config file
+  6  bad option value: unknown --alg, malformed --quant, --iters < 1,
+     --window-len < 1, --acq-len < 0, --blocks < 1, --seed outside
+     [0, 2**64), or a config-file value of the wrong type
 """
 
 import argparse
-import os
 import sys
 from contextlib import nullcontext
 
@@ -26,6 +34,10 @@ from .turbo import DecoderConfig
 EXIT_BAD_BLOCK_SIZE = 3
 EXIT_BAD_SNR = 4
 EXIT_BAD_OUTPUT = 5
+EXIT_BAD_OPTION = 6
+
+MAX_SNR_POINTS = 10_000
+MAX_ABS_SNR_DB = 1000.0   # 10**(snr/10) stays far from float overflow
 
 _ALGS = [m.value for m in MaxStarMode]
 
@@ -40,20 +52,27 @@ def _parse_snr_range(text):
     """'a' or 'start:step:stop' (inclusive)."""
     parts = str(text).split(":")
     try:
-        if len(parts) == 1:
-            return [float(parts[0])]
-        if len(parts) != 3:
+        values = [float(p) for p in parts]
+        if len(values) not in (1, 3) or not all(
+                abs(v) <= MAX_ABS_SNR_DB for v in values):  # False for NaN
             raise ValueError
-        start, step, stop = (float(p) for p in parts)
+        if len(values) == 1:
+            return values
+        start, step, stop = values
         if step <= 0 or stop < start:
             raise ValueError
     except ValueError:
         raise _CliError(EXIT_BAD_SNR,
                         f"malformed SNR range {text!r}; expected 'a' or "
-                        "'start:step:stop' with step > 0") from None
+                        "'start:step:stop' with step > 0 and every value "
+                        f"within +-{MAX_ABS_SNR_DB:g} dB") from None
     points = []
     value = start
     while value <= stop + 1e-9:
+        # also ends a range whose step is too small to move `value`
+        if len(points) == MAX_SNR_POINTS:
+            raise _CliError(EXIT_BAD_SNR, f"SNR range {text!r} has more "
+                            f"than {MAX_SNR_POINTS} points")
         points.append(round(value, 9))
         value += step
     return points
@@ -66,7 +85,7 @@ def _parse_quant(text):
         bits, frac = (int(p) for p in str(text).split(":"))
         return bits, frac
     except ValueError:
-        raise _CliError(EXIT_BAD_OUTPUT, f"malformed --quant {text!r}; expected bits:frac") from None
+        raise _CliError(EXIT_BAD_OPTION, f"malformed --quant {text!r}; expected bits:frac") from None
 
 
 def _load_config_file(path):
@@ -100,8 +119,7 @@ def _build_parser():
         p.add_argument("--acq-len", type=int, help="window acquisition length")
         p.add_argument("--quant", help="LLR quantization bits:frac")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--threads", type=int,
-                       help="worker threads (default $TURBOSIM_THREADS or 1)")
+        p.add_argument("--threads", type=int, help="ignored")
         p.add_argument("--config", help="key=value config file; flags override")
 
     ber = sub.add_parser("ber", help="Monte-Carlo BER/FER sweep, CSV output")
@@ -122,15 +140,15 @@ def _build_parser():
 _DEFAULTS = {
     "ber": {"n": 1024, "alg": "max-log", "iters": 8, "snr_db": "1.0",
             "blocks": 100, "seed": 0, "window_len": None, "acq_len": 32,
-            "quant": None, "out": None, "threads": None},
+            "quant": None, "out": None},
     "bench": {"n": 6144, "alg": ",".join(_ALGS), "iters": 1, "snr_db": "1.0",
               "blocks": 2, "seed": 0, "window_len": None, "acq_len": 32,
-              "quant": None, "out": None, "threads": None},
+              "quant": None, "out": None},
     "interleave": {"n": 40, "out": None},
 }
 
 _TYPES = {"n": int, "iters": int, "blocks": int, "seed": int,
-          "window_len": int, "acq_len": int, "threads": int}
+          "window_len": int, "acq_len": int}
 
 
 def _effective(args, file_values):
@@ -141,17 +159,15 @@ def _effective(args, file_values):
         if cli is not None:
             merged[key] = cli
         elif key.replace("_", "-") in file_values:
-            merged[key] = _TYPES.get(key, str)(file_values[key.replace("_", "-")])
+            text = file_values[key.replace("_", "-")]
+            try:
+                merged[key] = _TYPES.get(key, str)(text)
+            except ValueError:
+                raise _CliError(EXIT_BAD_OPTION, f"config file: bad value "
+                                f"{text!r} for {key.replace('_', '-')}") from None
         else:
             merged[key] = default
     return merged
-
-
-def _threads(value):
-    if value is not None:
-        return max(1, int(value))
-    env = os.environ.get("TURBOSIM_THREADS")
-    return max(1, int(env)) if env else 1
 
 
 def _open_out(path):
@@ -164,28 +180,35 @@ def _open_out(path):
 
 
 def _decoder_config(opts, mode):
+    """The run's DecoderConfig, after checking every option a run uses."""
     try:
         qpp = params_for_block_size(opts["n"])
     except ValueError as exc:
         raise _CliError(EXIT_BAD_BLOCK_SIZE, str(exc))
-    return DecoderConfig(
-        mode=mode, iterations=opts["iters"], qpp=qpp,
-        window_len=opts["window_len"], acquisition_len=opts["acq_len"],
-        quantization=_parse_quant(opts["quant"]))
+    if opts["blocks"] < 1:
+        raise _CliError(EXIT_BAD_OPTION, f"--blocks must be >= 1, got {opts['blocks']}")
+    if not 0 <= opts["seed"] < 2 ** 64:
+        raise _CliError(EXIT_BAD_OPTION, f"--seed must be in [0, 2**64), got {opts['seed']}")
+    try:
+        return DecoderConfig(
+            mode=mode, iterations=opts["iters"], qpp=qpp,
+            window_len=opts["window_len"], acquisition_len=opts["acq_len"],
+            quantization=_parse_quant(opts["quant"]))
+    except ValueError as exc:
+        raise _CliError(EXIT_BAD_OPTION, f"bad decoder option: {exc}") from None
 
 
 def _cmd_ber(opts):
     try:
         mode = MaxStarMode.from_name(opts["alg"])
     except ValueError as exc:
-        raise _CliError(EXIT_BAD_BLOCK_SIZE, str(exc))
+        raise _CliError(EXIT_BAD_OPTION, str(exc)) from None
     config = _decoder_config(opts, mode)
     snr_points = _parse_snr_range(opts["snr_db"])
-    results = run_ber_sweep(config, snr_points, opts["blocks"], opts["seed"],
-                            threads=_threads(opts["threads"]))
+    results = run_ber_sweep(config, snr_points, opts["blocks"], opts["seed"])
     digest = config_digest(config, opts["blocks"], opts["seed"], snr_points)
     with _open_out(opts["out"]) as fh:
-        write_ber_csv(fh, results, opts["seed"], digest)
+        write_ber_csv(fh, config, snr_points, results, opts["seed"], digest)
     return 0
 
 
@@ -194,12 +217,11 @@ def _cmd_bench(opts):
         modes = [MaxStarMode.from_name(name.strip())
                  for name in str(opts["alg"]).split(",") if name.strip()]
     except ValueError as exc:
-        raise _CliError(EXIT_BAD_BLOCK_SIZE, str(exc))
+        raise _CliError(EXIT_BAD_OPTION, str(exc)) from None
+    if not modes:
+        raise _CliError(EXIT_BAD_OPTION, f"no algorithm in --alg {opts['alg']!r}")
+    _decoder_config(opts, modes[0])  # rejects the options a run cannot use
     snr = _parse_snr_range(opts["snr_db"])[0]
-    try:
-        params_for_block_size(opts["n"])
-    except ValueError as exc:
-        raise _CliError(EXIT_BAD_BLOCK_SIZE, str(exc))
     lines = run_benchmark(opts["n"], modes, opts["iters"], opts["blocks"],
                           opts["seed"], snr_db=snr)
     with _open_out(opts["out"]) as fh:

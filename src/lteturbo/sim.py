@@ -1,88 +1,32 @@
 """Sweep driver: reproducible BER measurements and throughput reports.
 
-Blocks of a sweep are distributed over worker threads in fixed chunks
-and merged back in chunk order.  Since every block draws from its own
-(seed, block-index) RNG stream, the thread count never changes a single
-output bit -- the BER CSV is byte-identical for any --threads value.
-Wall-clock timing is therefore kept out of the deterministic CSV; the
-benchmark report is the place for timings.
+Each SNR point of a sweep is one run_monte_carlo call in the calling
+thread.  Every block draws from its own (seed, block-index) RNG stream,
+so the BER CSV is byte-identical for a fixed seed.  Wall-clock timing is
+kept out of the deterministic CSV; the benchmark report is the place for
+timings.
 """
 
 import hashlib
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
-import numpy as np
-
-from .maxstar import MaxStarMode
 from .qpp import params_for_block_size
-from .siso import OpCounts
-from .turbo import DecoderConfig, McResult, run_monte_carlo, time_decode
-
-_CHUNK_BLOCKS = 256
-
-
-@dataclass
-class SimResult:
-    """One measured sweep point."""
-    snr_db: float
-    mode: str
-    iterations: int
-    blocks: int
-    info_bits: int
-    bit_errors: int
-    block_errors: int
-    wall_time_s: float
-    ops: OpCounts
-
-    @property
-    def ber(self) -> float:
-        return self.bit_errors / self.info_bits if self.info_bits else 0.0
-
-    @property
-    def fer(self) -> float:
-        return self.block_errors / self.blocks if self.blocks else 0.0
-
-    @property
-    def throughput_mbps(self) -> float:
-        return self.info_bits / (self.wall_time_s * 1e6) if self.wall_time_s else 0.0
+from .turbo import DecoderConfig, McResult, run_monte_carlo
 
 
 def run_ber_point(config: DecoderConfig, snr_db: float, num_blocks: int,
-                  seed: int, threads: int = 1) -> SimResult:
-    """Decode num_blocks blocks at one SNR, optionally across threads."""
-    chunks = [(off, min(_CHUNK_BLOCKS, num_blocks - off))
-              for off in range(0, num_blocks, _CHUNK_BLOCKS)]
-    t0 = time.perf_counter()
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(
-                lambda c: run_monte_carlo(config, snr_db, c[1], seed,
-                                          block_offset=c[0]), chunks))
-    else:
-        parts = [run_monte_carlo(config, snr_db, count, seed, block_offset=off)
-                 for off, count in chunks]
-    elapsed = time.perf_counter() - t0
-    total = McResult()
-    for part in parts:
-        total.merge(part)
-    return SimResult(
-        snr_db=snr_db, mode=config.mode.value, iterations=config.iterations,
-        blocks=total.blocks, info_bits=total.info_bits,
-        bit_errors=total.bit_errors, block_errors=total.block_errors,
-        wall_time_s=elapsed, ops=total.ops)
+                  seed: int) -> McResult:
+    """Decode num_blocks blocks at one SNR."""
+    return run_monte_carlo(config, snr_db, num_blocks, seed)
 
 
 def run_ber_sweep(config: DecoderConfig, snr_points, num_blocks: int,
-                  seed: int, threads: int = 1) -> list[SimResult]:
-    return [run_ber_point(config, snr, num_blocks, seed, threads)
-            for snr in snr_points]
+                  seed: int) -> list[McResult]:
+    return [run_ber_point(config, snr, num_blocks, seed) for snr in snr_points]
 
 
 # Deterministic CSV schema of the `ber` subcommand.  Timing columns are
-# deliberately absent: rows must be byte-identical across runs and
-# thread counts for a fixed seed.
+# deliberately absent: rows must be byte-identical across runs for a
+# fixed seed.
 BER_CSV_COLUMNS = ("snr_db", "mode", "iterations", "blocks", "info_bits",
                    "bit_errors", "block_errors", "ber", "fer", "adds", "subs",
                    "muls", "max_star_pairs", "llr_reduces", "stream_reads",
@@ -101,18 +45,20 @@ def config_digest(config: DecoderConfig, num_blocks: int, seed: int,
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def write_ber_csv(fh, results: list[SimResult], seed: int, digest: str) -> None:
+def write_ber_csv(fh, config: DecoderConfig, snr_points,
+                  results: list[McResult], seed: int, digest: str) -> None:
     fh.write("# turbosim ber v1\n")
     fh.write(f"# seed={seed}\n")
     fh.write(f"# config={digest}\n")
     fh.write(",".join(BER_CSV_COLUMNS) + "\n")
-    for r in results:
+    for snr_db, r in zip(snr_points, results):
         ops = r.ops
-        row = [repr(float(r.snr_db)), r.mode, str(r.iterations), str(r.blocks),
-               str(r.info_bits), str(r.bit_errors), str(r.block_errors),
-               repr(r.ber), repr(r.fer), str(ops.adds), str(ops.subs),
-               str(ops.muls), str(ops.max_star_pairs), str(ops.llr_reduces),
-               str(ops.stream_reads), str(ops.stream_writes)]
+        row = [repr(float(snr_db)), config.mode.value, str(config.iterations),
+               str(r.blocks), str(r.info_bits), str(r.bit_errors),
+               str(r.block_errors), repr(r.ber), repr(r.fer), str(ops.adds),
+               str(ops.subs), str(ops.muls), str(ops.max_star_pairs),
+               str(ops.llr_reduces), str(ops.stream_reads),
+               str(ops.stream_writes)]
         fh.write(",".join(row) + "\n")
 
 
@@ -120,9 +66,10 @@ def run_benchmark(n: int, modes, iterations: int, num_blocks: int, seed: int,
                   snr_db: float = 1.0) -> list[str]:
     """Throughput report: one line per mode, plus the reduction count.
 
-    Reports measured Mbps per full iteration (decode wall time divided by
-    the iteration count); absolute numbers are machine-dependent, only
-    the relative ordering of the modes is meaningful.
+    Reports measured Mbps per full iteration (the batched decode wall
+    time of run_monte_carlo divided by the iteration count); absolute
+    numbers are machine-dependent, only the relative ordering of the
+    modes is meaningful.
     """
     qpp = params_for_block_size(n)
     lines = [f"benchmark: n={n} blocks={num_blocks} iterations={iterations} "
@@ -130,7 +77,8 @@ def run_benchmark(n: int, modes, iterations: int, num_blocks: int, seed: int,
     timings = {}
     for mode in modes:
         config = DecoderConfig(mode=mode, iterations=iterations, qpp=qpp)
-        elapsed, mc = time_decode(config, snr_db, num_blocks, seed)
+        mc = run_monte_carlo(config, snr_db, num_blocks, seed)
+        elapsed = mc.decode_s
         per_iter_s = elapsed / iterations
         mbps = mc.info_bits / per_iter_s / 1e6
         timings[mode.value] = elapsed
@@ -145,6 +93,3 @@ def run_benchmark(n: int, modes, iterations: int, num_blocks: int, seed: int,
     lines.append(f"relative decode time (vs {fastest}): {rel}")
     return lines
 
-
-def parse_mode(name: str) -> MaxStarMode:
-    return MaxStarMode.from_name(name)

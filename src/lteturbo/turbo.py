@@ -5,7 +5,8 @@ and parity1 streams, interleaves its extrinsic output, runs the second
 constituent decoder on the interleaved systematic and parity2 streams,
 and deinterleaves that extrinsic back as the next a-priori input.  The
 first iteration starts with zero a-priori.  After the configured number
-of iterations the decision statistic is
+of iterations (or earlier, under the optional hard-decision stop rule)
+the decision statistic is
 
     final_llr = lu + extrinsic1 + deinterleave(extrinsic2)
 
@@ -84,12 +85,20 @@ def _quantizer(config: DecoderConfig):
     return lambda x: quantize_llrs(x, bits, frac)
 
 
-def _iteration_stream(ch: ChannelLlrs, config: DecoderConfig,
-                      normalize_metrics: bool = True):
-    """Generator driving the iterative schedule.
+def turbo_decode(ch: ChannelLlrs, config: DecoderConfig,
+                 trace_iterations: bool = False, *,
+                 normalize_metrics: bool = True,
+                 stop_on_repeat: bool = False) -> DecodeResult:
+    """Run up to config.iterations full iterations.
 
-    Yields (iteration_index, combined_llr, ops_this_iteration) after each
-    full iteration, with combined_llr = lu + ext1 + deinterleaved ext2.
+    With stop_on_repeat=True decoding stops after the first iteration
+    whose hard decisions equal the previous iteration's (the hard-decision
+    rule of Shao, Lin & Fossorier, IEEE TCOM 1999); half_iterations_run
+    reports how many half-iterations ran.  With trace_iterations=True the
+    result carries the combined LLR vector after every full iteration run
+    (per_iteration_llrs[i] for iteration i+1).  normalize_metrics is the
+    debug toggle of siso_decode, passed through so the two normalization
+    settings can be compared end to end.
     """
     qpp = config.qpp
     if qpp is None:
@@ -108,10 +117,11 @@ def _iteration_stream(ch: ChannelLlrs, config: DecoderConfig,
     t2i, t2p = quant(ch.tail2_info), quant(ch.tail2_parity)
     lu_perm = lu[..., pi]
 
+    ops = OpCounts()
+    trace = [] if trace_iterations else None
     apriori = np.zeros_like(lu)
-    iteration = 0
-    while True:
-        iteration += 1
+    bits = None
+    for iteration in range(1, config.iterations + 1):
         s1 = siso_decode(SisoInput(lu=lu + apriori, lc2=parity1,
                                    tail_lu=t1i, tail_lc2=t1p), config,
                          normalize_metrics=normalize_metrics)
@@ -121,69 +131,28 @@ def _iteration_stream(ch: ChannelLlrs, config: DecoderConfig,
                          normalize_metrics=normalize_metrics)
         ext2 = quant(s2.extrinsic)
         apriori = ext2[..., ip]
-        yield iteration, lu + ext1 + apriori, s1.ops + s2.ops
-
-
-def turbo_decode(ch: ChannelLlrs, config: DecoderConfig,
-                 trace_iterations: bool = False, *,
-                 normalize_metrics: bool = True) -> DecodeResult:
-    """Run the fixed number of full iterations from config.
-
-    With trace_iterations=True the result carries the combined LLR vector
-    after every full iteration (per_iteration_llrs[i] for iteration i+1).
-    normalize_metrics is the debug toggle of siso_decode, passed through
-    so the two normalization settings can be compared end to end.
-    """
-    ops = OpCounts()
-    trace = [] if trace_iterations else None
-    stream = _iteration_stream(ch, config, normalize_metrics)
-    for iteration, combined, it_ops in stream:
-        ops += it_ops
+        ops += s1.ops + s2.ops
+        combined = lu + ext1 + apriori
         if trace is not None:
             trace.append(combined)
-        if iteration == config.iterations:
-            break
+        if stop_on_repeat:
+            prev_bits, bits = bits, (combined < 0).astype(np.uint8)
+            if prev_bits is not None and np.array_equal(bits, prev_bits):
+                break
+    # Hard decisions are built once here, not per iteration: an extra
+    # per-iteration array raised the sweep's peak RSS by about 10%.
     return DecodeResult(
-        hard_bits=(combined < 0).astype(np.uint8),
-        final_llrs=combined,
-        ops=ops,
-        half_iterations_run=2 * config.iterations,
-        per_iteration_llrs=trace)
-
-
-def decode_to_convergence(ch: ChannelLlrs, config: DecoderConfig,
-                          max_iters: int) -> DecodeResult:
-    """Like turbo_decode, but stop once hard decisions repeat.
-
-    Runs at most max_iters full iterations and stops after the first
-    iteration whose hard decisions match the previous iteration's.  With
-    no early stop the result equals turbo_decode with max_iters.
-    """
-    if max_iters < 1:
-        raise ValueError("need at least one full iteration")
-    ops = OpCounts()
-    prev_bits = None
-    stream = _iteration_stream(ch, config)
-    for iteration, combined, it_ops in stream:
-        ops += it_ops
-        bits = (combined < 0).astype(np.uint8)
-        if prev_bits is not None and np.array_equal(bits, prev_bits):
-            break
-        if iteration == max_iters:
-            break
-        prev_bits = bits
-    return DecodeResult(
-        hard_bits=bits,
+        hard_bits=(combined < 0).astype(np.uint8) if bits is None else bits,
         final_llrs=combined,
         ops=ops,
         half_iterations_run=2 * iteration,
-        per_iteration_llrs=None)
+        per_iteration_llrs=trace)
 
 
 # ---------------------------------------------------------------------------
 # Monte-Carlo engine.  Block b of a run is fully determined by (seed, b):
 # its Philox stream provides the information bits and then the channel
-# noise, so results do not depend on batching or thread scheduling.
+# noise, so results do not depend on batching.
 
 @dataclass
 class McResult:
@@ -194,18 +163,7 @@ class McResult:
     block_errors: int = 0
     per_iteration_bit_errors: np.ndarray | None = None
     ops: OpCounts = field(default_factory=OpCounts)
-
-    def merge(self, other: "McResult") -> None:
-        self.blocks += other.blocks
-        self.info_bits += other.info_bits
-        self.bit_errors += other.bit_errors
-        self.block_errors += other.block_errors
-        if other.per_iteration_bit_errors is not None:
-            if self.per_iteration_bit_errors is None:
-                self.per_iteration_bit_errors = np.zeros_like(
-                    other.per_iteration_bit_errors)
-            self.per_iteration_bit_errors += other.per_iteration_bit_errors
-        self.ops += other.ops
+    decode_s: float = 0.0     # wall time inside turbo_decode; not part of any CSV
 
     @property
     def ber(self) -> float:
@@ -227,9 +185,12 @@ def run_monte_carlo(config: DecoderConfig, snr_db: float, num_blocks: int,
                     per_iteration: bool = False) -> McResult:
     """Simulate and decode num_blocks random blocks at one Eb/N0 point.
 
-    block_offset shifts the absolute block indices (and hence the RNG
-    streams); sweep drivers use it to split work across threads without
-    changing any result.
+    Blocks are decoded in batches of batch_size (default: a size that
+    bounds the batched forward-metric store).  block_offset shifts the
+    absolute block indices, and hence the RNG streams, so a run can be
+    split into parts without changing any result.  decode_s accumulates
+    the wall time of the turbo_decode calls alone; generating and
+    encoding the blocks and simulating the channel are not in it.
     """
     qpp = config.qpp
     if qpp is None:
@@ -253,7 +214,9 @@ def run_monte_carlo(config: DecoderConfig, snr_db: float, num_blocks: int,
         symbols = bpsk_modulate(serialize_codeword(turbo_encode(bits, qpp)))
         ch = split_llrs(llr_demap(symbols + np.sqrt(sigma2) * noise, sigma2), n)
 
+        start = time.perf_counter()
         result = turbo_decode(ch, config, trace_iterations=per_iteration)
+        total.decode_s += time.perf_counter() - start
         errors = result.hard_bits != bits
         total.blocks += b
         total.info_bits += b * n
@@ -276,36 +239,3 @@ def ber_vs_iterations(snr_db: float, config: DecoderConfig, num_blocks: int,
     """
     mc = run_monte_carlo(config, snr_db, num_blocks, seed, per_iteration=True)
     return mc.per_iteration_bit_errors / mc.info_bits
-
-
-def time_decode(config: DecoderConfig, snr_db: float, num_blocks: int,
-                seed: int) -> tuple[float, McResult]:
-    """Wall-clock seconds spent decoding num_blocks blocks, plus the stats.
-
-    Encoding and channel simulation are excluded from the timing; only
-    turbo_decode runs inside the measured window, one block at a time.
-    """
-    qpp = config.qpp
-    n = qpp.n
-    sigma2 = ChannelConfig.for_block_size(n, snr_db).noise_variance
-    channels = []
-    all_bits = []
-    for blk in range(num_blocks):
-        rng = block_rng(seed, blk)
-        bits = rng.integers(0, 2, n, dtype=np.uint8)
-        noise = rng.standard_normal(3 * n + 12)
-        symbols = bpsk_modulate(serialize_codeword(turbo_encode(bits, qpp)))
-        channels.append(split_llrs(llr_demap(symbols + np.sqrt(sigma2) * noise, sigma2), n))
-        all_bits.append(bits)
-    total = McResult()
-    t0 = time.perf_counter()
-    results = [turbo_decode(ch, config) for ch in channels]
-    elapsed = time.perf_counter() - t0
-    for bits, result in zip(all_bits, results):
-        errors = result.hard_bits != bits
-        total.blocks += 1
-        total.info_bits += n
-        total.bit_errors += int(errors.sum())
-        total.block_errors += int(errors.any())
-        total.ops += result.ops
-    return elapsed, total

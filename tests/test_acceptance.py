@@ -26,7 +26,7 @@ from lteturbo.qpp import block_sizes, params_for_block_size, qpp_index
 from lteturbo.siso import SisoInput, siso_decode, track_metric_allocations
 from lteturbo.trellis import rsc_encode
 from lteturbo.turbo import (DecoderConfig, ber_vs_iterations, run_monte_carlo,
-                            time_decode, turbo_decode)
+                            turbo_decode)
 
 from oracles import exhaustive_llrs
 
@@ -105,10 +105,10 @@ def test_c3_op_count_reproduction():
                             qpp=params_for_block_size(n))
         assert run_monte_carlo(cfg, 4.0, 1, SEED).ops.llr_reduces == 4 * n * 3
 
-    t_max, _ = time_decode(DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=8,
-                                         qpp=qpp), 1.0, 2, SEED)
-    t_log, _ = time_decode(DecoderConfig(mode=MaxStarMode.LOG_MAP, iterations=8,
-                                         qpp=qpp), 1.0, 2, SEED)
+    t_max = run_monte_carlo(DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=8,
+                                          qpp=qpp), 1.0, 2, SEED).decode_s
+    t_log = run_monte_carlo(DecoderConfig(mode=MaxStarMode.LOG_MAP, iterations=8,
+                                          qpp=qpp), 1.0, 2, SEED).decode_s
     assert t_max < t_log
     report("C3 op-count reproduction", True,
            f"llr_reduces/iteration = 24576 at n=6144 (ref 24567, "
@@ -155,6 +155,7 @@ def test_c4_normalization_neutrality():
            f"stored metrics exactly 7*n = {7 * big} values at n=6144")
 
 
+@pytest.mark.slow
 def test_c5_iteration_gain():
     """Waterfall-region gains: more iterations and more SNR both help."""
     qpp = params_for_block_size(1024)
@@ -234,6 +235,7 @@ def test_c6_mode_fidelity_linear_correction_bound():
     assert at_clip
 
 
+@pytest.mark.slow
 def test_c6_mode_fidelity_ber_sandwich():
     """Approximate kernels land between max-log and log-map at 1 dB."""
     qpp = params_for_block_size(1024)

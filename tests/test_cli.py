@@ -1,9 +1,10 @@
 import subprocess
 import sys
+import time
 
 import pytest
 
-from lteturbo.cli import main
+from lteturbo.cli import MAX_SNR_POINTS, _CliError, _parse_snr_range, main
 from lteturbo.sim import BER_CSV_COLUMNS
 
 
@@ -95,6 +96,72 @@ class TestBer:
         out = tmp_path / "env.csv"
         assert main(["ber", "--n", "40", "--snr-db", "1", "--blocks", "2",
                      "--seed", "1", "--out", str(out)]) == 0
+
+
+BER_40 = ["ber", "--n", "40", "--iters", "1", "--blocks", "1", "--snr-db", "1"]
+
+
+def assert_one_line_error(capsys, argv, code):
+    start = time.perf_counter()
+    assert main(argv) == code
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("turbosim: "), err
+
+
+class TestBadOptions:
+    @pytest.mark.parametrize("flags", [
+        ["--iters", "0"], ["--window-len", "0"], ["--acq-len", "-1"],
+        ["--quant", "1:0"], ["--quant", "6"], ["--quant", "a:b"],
+        ["--alg", "max-logg"], ["--blocks", "0"], ["--blocks", "-3"],
+        ["--seed", "-1"], ["--seed", str(2 ** 64)],
+    ], ids=lambda flags: " ".join(flags))
+    def test_ber_exit_code(self, capsys, flags):
+        assert_one_line_error(capsys, BER_40 + flags, 6)
+
+    @pytest.mark.parametrize("flags", [
+        ["--iters", "0"], ["--blocks", "0"], ["--alg", "max-log,nope"],
+        ["--alg", ","],
+    ], ids=lambda flags: " ".join(flags))
+    def test_bench_exit_code(self, capsys, flags):
+        argv = ["bench", "--n", "40", "--iters", "1", "--blocks", "1"] + flags
+        assert_one_line_error(capsys, argv, 6)
+
+    @pytest.mark.parametrize("line", ["iters=abc", "blocks=1.5", "seed=", "n=forty"])
+    def test_config_file_value_of_wrong_type(self, tmp_path, capsys, line):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(line + "\n")
+        assert_one_line_error(capsys, ["ber", "--config", str(cfg)], 6)
+
+    def test_threads_env_is_not_read(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TURBOSIM_THREADS", "abc")
+        assert main(BER_40 + ["--out", str(tmp_path / "ber.csv")]) == 0
+
+
+class TestSnrBounds:
+    @pytest.mark.parametrize("snr", [
+        "nan", "inf", "-inf", "0:nan:1", "0:0.5:inf", "1e308", "-1000.5",
+    ])
+    def test_non_finite_or_extreme_snr(self, capsys, snr):
+        assert_one_line_error(capsys, BER_40[:-2] + [f"--snr-db={snr}"], 4)
+
+    @pytest.mark.parametrize("snr", ["0:0.1:1e9", "0:0.01:1000", "999:1e-20:999.5"])
+    def test_too_many_points(self, capsys, snr):
+        # the last range never advances: 999 + 1e-20 == 999
+        assert_one_line_error(capsys, BER_40[:-2] + [f"--snr-db={snr}"], 4)
+
+    def test_point_limit_is_inclusive(self):
+        # a dyadic step keeps the accumulated range exact; parsed only, since
+        # decoding 10000 points would take minutes
+        assert len(_parse_snr_range("-1000:0.125:249.875")) == MAX_SNR_POINTS
+        with pytest.raises(_CliError) as err:
+            _parse_snr_range("-1000:0.125:250")
+        assert err.value.code == 4
+
+    def test_bench_rejects_nan(self, capsys):
+        argv = ["bench", "--n", "40", "--iters", "1", "--blocks", "1",
+                "--snr-db", "nan"]
+        assert_one_line_error(capsys, argv, 4)
 
 
 class TestInterleave:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,7 @@ from lteturbo.maxstar import MaxStarMode
 from lteturbo.qpp import inverse_permutation, params_for_block_size, permutation
 from lteturbo.siso import SisoInput, siso_decode
 from lteturbo.trellis import turbo_encode
-from lteturbo.turbo import (DecoderConfig, ber_vs_iterations,
-                            decode_to_convergence, run_monte_carlo,
+from lteturbo.turbo import (DecoderConfig, ber_vs_iterations, run_monte_carlo,
                             turbo_decode)
 
 QPP40 = params_for_block_size(40)
@@ -135,14 +136,14 @@ class TestDecodeToConvergence:
     def test_noiseless_stops_after_two_iterations(self):
         ch = noiseless_llrs(np.zeros(40, dtype=np.uint8), QPP40)
         config = DecoderConfig(mode=MaxStarMode.LOG_MAP, iterations=8, qpp=QPP40)
-        res = decode_to_convergence(ch, config, max_iters=8)
+        res = turbo_decode(ch, config, stop_on_repeat=True)
         assert res.half_iterations_run == 4
         assert not res.hard_bits.any()
 
     def test_single_iteration_equals_turbo_decode(self):
         bits, ch = noisy_llrs(QPP40, snr_db=0.0, seed=36)
         config = DecoderConfig(mode=MaxStarMode.LOG_MAP, iterations=1, qpp=QPP40)
-        a = decode_to_convergence(ch, config, max_iters=1)
+        a = turbo_decode(ch, config, stop_on_repeat=True)
         b = turbo_decode(ch, config)
         np.testing.assert_array_equal(a.final_llrs, b.final_llrs)
         assert a.half_iterations_run == 2
@@ -153,7 +154,7 @@ class TestDecodeToConvergence:
         config8 = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=4, qpp=QPP40)
         for seed in range(37, 47):
             bits, ch = noisy_llrs(QPP40, snr_db=-2.0, seed=seed)
-            res = decode_to_convergence(ch, config8, max_iters=4)
+            res = turbo_decode(ch, config8, stop_on_repeat=True)
             if res.half_iterations_run == 8:
                 fixed = turbo_decode(ch, config8)
                 np.testing.assert_array_equal(res.hard_bits, fixed.hard_bits)
@@ -165,7 +166,20 @@ class TestDecodeToConvergence:
         ch = noiseless_llrs(np.zeros(40, dtype=np.uint8), QPP40)
         config = DecoderConfig(iterations=1, qpp=QPP40)
         with pytest.raises(ValueError):
-            decode_to_convergence(ch, config, max_iters=0)
+            turbo_decode(ch, replace(config, iterations=0), stop_on_repeat=True)
+
+    def test_trace_covers_exactly_the_iterations_run(self):
+        # one decode loop serves both the trace and the stop rule
+        config = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=8, qpp=QPP40)
+        cases = [noiseless_llrs(np.zeros(40, dtype=np.uint8), QPP40)]
+        cases += [noisy_llrs(QPP40, snr_db=0.0, seed=seed)[1] for seed in (48, 49)]
+        for ch in cases:
+            res = turbo_decode(ch, config, trace_iterations=True, stop_on_repeat=True)
+            assert len(res.per_iteration_llrs) * 2 == res.half_iterations_run
+            np.testing.assert_array_equal(res.per_iteration_llrs[-1], res.final_llrs)
+            np.testing.assert_array_equal(res.hard_bits, res.final_llrs < 0)
+        assert turbo_decode(cases[0], config, trace_iterations=True,
+                            stop_on_repeat=True).half_iterations_run == 4
 
 
 class TestMonteCarlo:
@@ -183,6 +197,10 @@ class TestMonteCarlo:
                                 batch_size=7)
         assert whole.bit_errors == part1.bit_errors + part2.bit_errors
         assert whole.block_errors == part1.block_errors + part2.block_errors
+
+    def test_decode_time_is_measured(self):
+        config = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=2, qpp=QPP40)
+        assert run_monte_carlo(config, 1.0, 3, seed=5).decode_s > 0
 
     def test_ber_vs_iterations_high_snr_is_zero(self):
         config = DecoderConfig(mode=MaxStarMode.LOG_MAP, iterations=3, qpp=QPP40)
