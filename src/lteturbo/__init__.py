@@ -13,10 +13,9 @@ from .maxstar import (DEFAULT_CORRECTION, METRIC_NEG_INF, CorrectionParams,
                       MaxStarMode, max_star, max_star_reduce)
 from .qpp import (QppParams, block_sizes, inverse_permutation,
                   params_for_block_size, permutation, qpp_index)
-from .siso import (BranchMetrics, MetricMatrix, OpCounts, SisoInput,
-                   SisoResult, butterfly_update, compute_branch_metrics,
-                   normalize, quantize_llrs, siso_decode,
-                   track_metric_allocations)
+from .siso import (MetricMatrix, OpCounts, SisoInput, SisoResult,
+                   butterfly_update, compute_branch_metrics, normalize,
+                   quantize_llrs, siso_decode, track_metric_allocations)
 from .trellis import (CodeWord, RscCodeword, TerminationBits, TrellisEdge,
                       TrellisSpec, lte_trellis, rsc_encode, turbo_encode)
 from .turbo import (DecodeResult, DecoderConfig, McResult, ber_vs_iterations,
@@ -31,7 +30,7 @@ __all__ = [
     "max_star", "max_star_reduce",
     "QppParams", "block_sizes", "inverse_permutation", "params_for_block_size",
     "permutation", "qpp_index",
-    "BranchMetrics", "MetricMatrix", "OpCounts", "SisoInput", "SisoResult",
+    "MetricMatrix", "OpCounts", "SisoInput", "SisoResult",
     "butterfly_update", "compute_branch_metrics", "normalize", "quantize_llrs",
     "siso_decode", "track_metric_allocations",
     "CodeWord", "RscCodeword", "TerminationBits", "TrellisEdge", "TrellisSpec",

@@ -29,16 +29,15 @@ class ChannelConfig:
     """SNR point of a simulation run."""
     ebn0_db: float
     code_rate: float
-    seed: int = 0
 
     def __post_init__(self):
         if self.code_rate <= 0:
             raise ValueError("code rate must be positive")
 
     @classmethod
-    def for_block_size(cls, n: int, ebn0_db: float, seed: int = 0) -> "ChannelConfig":
+    def for_block_size(cls, n: int, ebn0_db: float) -> "ChannelConfig":
         """Rate-1/3 turbo code configuration with the tail-bit rate penalty."""
-        return cls(ebn0_db=ebn0_db, code_rate=n / (3 * n + 12), seed=seed)
+        return cls(ebn0_db=ebn0_db, code_rate=n / (3 * n + 12))
 
     @property
     def noise_variance(self) -> float:

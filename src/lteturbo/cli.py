@@ -15,11 +15,13 @@ Exit codes (each error prints one `turbosim:` line on stderr):
   2  usage error (argparse's own code)
   3  unsupported block size --n
   4  malformed SNR point or range: not a number, not finite, beyond
-     +-1000 dB, or a range of more than 10000 points
+     +-1000 dB, a range of more than 10000 points, or (bench) more
+     than one point
   5  unwritable output path or unreadable config file
   6  bad option value: unknown --alg, malformed --quant, --iters < 1,
      --window-len < 1, --acq-len < 0, --blocks < 1, --seed outside
-     [0, 2**64), or a config-file value of the wrong type
+     [0, 2**64), a config-file value of the wrong type, or a
+     config-file key that no subcommand takes
 """
 
 import argparse
@@ -48,8 +50,8 @@ class _CliError(Exception):
         self.code = code
 
 
-def _parse_snr_range(text):
-    """'a' or 'start:step:stop' (inclusive)."""
+def _parse_snr_range(text, max_points=MAX_SNR_POINTS):
+    """'a' or 'start:step:stop' (inclusive), at most max_points values."""
     parts = str(text).split(":")
     try:
         values = [float(p) for p in parts]
@@ -70,9 +72,9 @@ def _parse_snr_range(text):
     value = start
     while value <= stop + 1e-9:
         # also ends a range whose step is too small to move `value`
-        if len(points) == MAX_SNR_POINTS:
+        if len(points) == max_points:
             raise _CliError(EXIT_BAD_SNR, f"SNR range {text!r} has more "
-                            f"than {MAX_SNR_POINTS} points")
+                            f"than {max_points} point(s)")
         points.append(round(value, 9))
         value += step
     return points
@@ -150,9 +152,18 @@ _DEFAULTS = {
 _TYPES = {"n": int, "iters": int, "blocks": int, "seed": int,
           "window_len": int, "acq_len": int}
 
+# Keys a config file may set: those of every subcommand, so one file can
+# serve all three, plus the ignored threads.
+_FILE_KEYS = {key.replace("_", "-") for keys in _DEFAULTS.values()
+              for key in keys} | {"threads"}
+
 
 def _effective(args, file_values):
     """Merge CLI args, config-file values and defaults (that order)."""
+    unknown = sorted(set(file_values) - _FILE_KEYS)
+    if unknown:
+        raise _CliError(EXIT_BAD_OPTION, "config file: unknown key "
+                        + ", ".join(map(repr, unknown)))
     merged = {}
     for key, default in _DEFAULTS[args.command].items():
         cli = getattr(args, key, None)
@@ -220,10 +231,9 @@ def _cmd_bench(opts):
         raise _CliError(EXIT_BAD_OPTION, str(exc)) from None
     if not modes:
         raise _CliError(EXIT_BAD_OPTION, f"no algorithm in --alg {opts['alg']!r}")
-    _decoder_config(opts, modes[0])  # rejects the options a run cannot use
-    snr = _parse_snr_range(opts["snr_db"])[0]
-    lines = run_benchmark(opts["n"], modes, opts["iters"], opts["blocks"],
-                          opts["seed"], snr_db=snr)
+    config = _decoder_config(opts, modes[0])
+    snr = _parse_snr_range(opts["snr_db"], max_points=1)[0]
+    lines = run_benchmark(config, modes, opts["blocks"], opts["seed"], snr)
     with _open_out(opts["out"]) as fh:
         fh.write("\n".join(lines) + "\n")
     return 0

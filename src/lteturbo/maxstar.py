@@ -7,7 +7,7 @@ approximations, selected by MaxStarMode:
   MAX_LOG       no correction, plain max
   LINEAR_LOG    correction max(0, a * (|x-y| - t_lin)), a < 0
   CONSTANT_LOG  correction C when |x-y| <= T, else 0
-  LOG_MAP       exact correction (optionally an 8-entry lookup table)
+  LOG_MAP       exact correction ln(1 + e^-|x-y|)
 
 All variants are symmetric and shift-equivariant:
 max*(x+d, y+d) = max*(x,y) + d.  Shift equivariance is what lets the
@@ -53,8 +53,6 @@ class CorrectionParams:
 
     c, t        constant-log-MAP: add c when |x-y| <= t
     a, t_lin    linear-log-MAP: add max(0, a * (|x-y| - t_lin))
-    logmap_lut  replace the exact LOG_MAP correction with an 8-entry
-                piecewise-constant table (cost-model experiments)
 
     The defaults are the usual literature constants; a and t_lin are
     those of Valenti & Sun (2001).  No clipped-linear correction can
@@ -66,7 +64,6 @@ class CorrectionParams:
     t: float = 1.5
     a: float = -0.24904
     t_lin: float = 2.5068
-    logmap_lut: bool = False
 
     def __post_init__(self):
         if self.c < 0:
@@ -81,17 +78,6 @@ class CorrectionParams:
 
 DEFAULT_CORRECTION = CorrectionParams()
 
-# 8-entry lookup variant of the exact correction: bins of width 0.25 over
-# |x-y| in [0, 2), table value = exact correction at the bin centre, zero
-# beyond 2.0.
-_LUT_STEP = 0.25
-_LUT = np.log1p(np.exp(-(np.arange(8) + 0.5) * _LUT_STEP))
-
-
-def _lut_correction(diff):
-    idx = np.minimum((diff / _LUT_STEP).astype(np.int64), 8)
-    return np.where(idx >= 8, 0.0, _LUT[np.minimum(idx, 7)])
-
 
 def max_star(x, y, mode: MaxStarMode = MaxStarMode.LOG_MAP,
              params: CorrectionParams = DEFAULT_CORRECTION):
@@ -100,15 +86,13 @@ def max_star(x, y, mode: MaxStarMode = MaxStarMode.LOG_MAP,
     y = np.asarray(y, dtype=np.float64)
     if mode is MaxStarMode.MAX_LOG:
         return np.maximum(x, y)
-    if mode is MaxStarMode.LOG_MAP and not params.logmap_lut:
+    if mode is MaxStarMode.LOG_MAP:
         return np.logaddexp(x, y)
     m = np.maximum(x, y)
     diff = np.abs(x - y)
     if mode is MaxStarMode.CONSTANT_LOG:
         return m + np.where(diff <= params.t, params.c, 0.0)
-    if mode is MaxStarMode.LINEAR_LOG:
-        return m + np.maximum(0.0, params.a * (diff - params.t_lin))
-    return m + _lut_correction(diff)
+    return m + np.maximum(0.0, params.a * (diff - params.t_lin))
 
 
 def max_star_reduce(values, mode: MaxStarMode = MaxStarMode.LOG_MAP,

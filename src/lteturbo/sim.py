@@ -8,8 +8,8 @@ timings.
 """
 
 import hashlib
+from dataclasses import replace
 
-from .qpp import params_for_block_size
 from .turbo import DecoderConfig, McResult, run_monte_carlo
 
 
@@ -62,22 +62,24 @@ def write_ber_csv(fh, config: DecoderConfig, snr_points,
         fh.write(",".join(row) + "\n")
 
 
-def run_benchmark(n: int, modes, iterations: int, num_blocks: int, seed: int,
-                  snr_db: float = 1.0) -> list[str]:
+def run_benchmark(config: DecoderConfig, modes, num_blocks: int, seed: int,
+                  snr_db: float) -> list[str]:
     """Throughput report: one line per mode, plus the reduction count.
 
-    Reports measured Mbps per full iteration (the batched decode wall
-    time of run_monte_carlo divided by the iteration count); absolute
-    numbers are machine-dependent, only the relative ordering of the
-    modes is meaningful.
+    Each mode runs `config` with only its mode replaced.  Reports
+    measured Mbps per full iteration (the batched decode wall time of
+    run_monte_carlo divided by the iteration count); absolute numbers
+    are machine-dependent, only the relative ordering of the modes is
+    meaningful.
     """
-    qpp = params_for_block_size(n)
+    n, iterations = config.n, config.iterations
+    quant = "none" if config.quantization is None else "%d:%d" % config.quantization
     lines = [f"benchmark: n={n} blocks={num_blocks} iterations={iterations} "
-             f"snr_db={snr_db} seed={seed}"]
+             f"window_len={config.window_len} acq_len={config.acquisition_len} "
+             f"quant={quant} snr_db={snr_db} seed={seed}"]
     timings = {}
     for mode in modes:
-        config = DecoderConfig(mode=mode, iterations=iterations, qpp=qpp)
-        mc = run_monte_carlo(config, snr_db, num_blocks, seed)
+        mc = run_monte_carlo(replace(config, mode=mode), snr_db, num_blocks, seed)
         elapsed = mc.decode_s
         per_iter_s = elapsed / iterations
         mbps = mc.info_bits / per_iter_s / 1e6

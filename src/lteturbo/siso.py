@@ -6,7 +6,7 @@ cost-saving conventions throughout:
 
 * Branch metrics.  Each trellis stage has 16 edge metrics but only four
   distinct values g1, g2, -g2, -g1 (see trellis module); only g1 and g2
-  are ever computed.
+  take arithmetic, the other two are their negations.
 
 * Normalization.  After every stage the state-0 metric is subtracted
   from all eight.  Because every max* variant is shift-equivariant this
@@ -27,7 +27,8 @@ cost-saving conventions throughout:
 
 Inputs use bipolar labels: bit 0 -> +1.  An LLR is ln(P(b=0)/P(b=1)), so
 positive LLRs vote for bit 0.  The recursions run on half-scale branch
-metrics, gamma(e) = (u*lu + c1*lc1 + c2*lc2) / 2: a path's metric is then
+metrics, gamma(e) = (u*lu + c2*lc2) / 2, where lu carries the
+systematic and a-priori LLRs and lc2 the parity: a path's metric is then
 its true log-likelihood exponent (P(b|L) ~ exp(x*L/2) per bit), so the
 output reduction yields genuine a-posteriori LLRs and the extrinsic
 split llr_out - lu removes the bit's own systematic-plus-a-priori
@@ -50,16 +51,14 @@ from .maxstar import (METRIC_NEG_INF, SENTINEL_CEILING, DEFAULT_CORRECTION,
 from .trellis import lte_trellis
 
 _TRELLIS = lte_trellis()
-
-# Per-invocation costs of the butterfly kernel: 8 states x 2 incoming
-# edges, one add per candidate and one max* per state.
-BUTTERFLY_ADDS = 16
-BUTTERFLY_MAX_STAR_PAIRS = 8
+# (source states, branch-metric indices) wiring of each recursion direction
+_FWD = (_TRELLIS.fwd_prev, _TRELLIS.fwd_gamma_idx)
+_BWD = (_TRELLIS.bwd_next, _TRELLIS.bwd_gamma_idx)
 
 
 @dataclass
 class OpCounts:
-    """Operation tally for one decode call.
+    """Operation tally for one decode call, filled in closed form by siso_decode.
 
     Counted per logical block; a batched call over b blocks reports b
     times the per-block numbers.  Conventions:
@@ -68,14 +67,18 @@ class OpCounts:
       only: 8 forward + 8 backward per in-block stage.  The three
       boundary-initialisation steps that consume the tail LLRs are not
       in-block work and are excluded; sliding-window acquisition stages
-      are in-block work and are included.
+      are in-block work and are included.  Each butterfly stage also
+      costs 16 adds (8 states x 2 edges) and, normalized, 7 subs.
+    * Each information stage costs 2 adds + 2 subs of branch metrics
+      (over the systematic, a-priori and parity streams), 32 adds of
+      alpha + gamma + beta on 16 edges and 2 subs (LLR, extrinsic).
     * llr_reduces counts 8-way output reductions, two per stage (one per
       bit hypothesis); the pairwise max* steps inside a reduction are
       part of the reduction, not max_star_pairs.
     * muls counts correction-term multiplies: one per max* pair and
       seven per reduction in LINEAR_LOG mode, zero in the other modes.
       One-time setup work (e.g. interleaver generation) is not counted.
-    * stream_reads is 3 per trellis stage (the three input streams,
+    * stream_reads is 3 per trellis stage (the same three streams,
       tail stages included); stream_writes is 2 per information stage
       (output LLR and extrinsic).
     """
@@ -87,12 +90,6 @@ class OpCounts:
     stream_reads: int = 0
     stream_writes: int = 0
 
-    def __add__(self, other: "OpCounts") -> "OpCounts":
-        out = OpCounts()
-        out += self
-        out += other
-        return out
-
     def __iadd__(self, other: "OpCounts") -> "OpCounts":
         for name, value in vars(other).items():
             setattr(self, name, getattr(self, name) + value)
@@ -102,76 +99,53 @@ class OpCounts:
         return dict(vars(self))
 
 
-@dataclass(frozen=True)
-class BranchMetrics:
-    """The two stored branch-metric values of one stage (g3, g4 derived)."""
-    g1: np.ndarray  # lu + lc1 + lc2
-    g2: np.ndarray  # -lu - lc1 + lc2
+def compute_branch_metrics(lu, lc2) -> np.ndarray:
+    """Branch-metric table [g1, g2, -g2, -g1] of one stage or a whole block.
 
-    @property
-    def g3(self):
-        return -self.g2
-
-    @property
-    def g4(self):
-        return -self.g1
-
-    def table(self) -> np.ndarray:
-        """Value table [g1, g2, -g2, -g1] indexed by the trellis wiring."""
-        return np.stack([np.asarray(self.g1), np.asarray(self.g2),
-                         -np.asarray(self.g2), -np.asarray(self.g1)], axis=-1)
-
-
-def compute_branch_metrics(lu, lc1, lc2, ops: OpCounts | None = None) -> BranchMetrics:
-    """Branch metrics of one stage (or a whole block) from its input LLRs."""
+    g1 = lu + lc2 and g2 = lc2 - lu; the (..., 4) table is indexed by the
+    trellis wiring tables (fwd_gamma_idx, bwd_gamma_idx, edge_gamma_idx).
+    """
     lu = np.asarray(lu, dtype=np.float64)
-    lc1 = np.asarray(lc1, dtype=np.float64)
     lc2 = np.asarray(lc2, dtype=np.float64)
-    if ops is not None:
-        stages = lu.size if lu.shape else 1
-        ops.adds += 2 * stages
-        ops.subs += 2 * stages
-    return BranchMetrics(g1=lu + lc1 + lc2, g2=lc2 - lu - lc1)
+    g1 = lu + lc2
+    g2 = lc2 - lu
+    return np.stack([g1, g2, -g2, -g1], axis=-1)
 
 
-def _kernel(metrics, gamma_table, state_idx, gamma_idx, mode, params):
-    """Shared butterfly kernel: 8 two-way add-max* updates.
+def _kernel(metrics, gamma_table, wiring, mode, params, normalize_metrics):
+    """The stage step all recursions share: 8 two-way add-max* updates.
 
     metrics (..., 8) and gamma_table (..., 4) in, next metrics (..., 8)
-    out.  The (8, 2) wiring tables select, per output state, its two
-    source states and their branch-metric values; forward and backward
-    directions differ only in those tables.
+    out.  wiring is _FWD or _BWD: per output state, its two source states
+    and their branch-metric indices.  With normalize_metrics the state-0
+    metric is subtracted from all eight.
     """
+    state_idx, gamma_idx = wiring
     cand = metrics[..., state_idx] + gamma_table[..., gamma_idx]
-    return max_star(cand[..., 0], cand[..., 1], mode, params)
+    out = max_star(cand[..., 0], cand[..., 1], mode, params)
+    return out - out[..., 0:1] if normalize_metrics else out
 
 
-def butterfly_update(prev_metrics, bm: BranchMetrics,
+def butterfly_update(prev_metrics, gamma_table,
                      direction: Literal["forward", "backward"],
                      mode: MaxStarMode = MaxStarMode.MAX_LOG,
-                     params: CorrectionParams = DEFAULT_CORRECTION,
-                     ops: OpCounts | None = None) -> np.ndarray:
+                     params: CorrectionParams = DEFAULT_CORRECTION) -> np.ndarray:
     """One trellis stage of the state-metric recursion.
 
     prev_metrics holds the eight previous-stage metrics (alpha when
     direction="forward", beta at the following stage when "backward");
-    unreachable states carry the METRIC_NEG_INF sentinel.  Returns the
-    eight next metrics, each the max* of its two candidate sums.
+    unreachable states carry the METRIC_NEG_INF sentinel.  gamma_table
+    is one stage of compute_branch_metrics.  Returns the eight next
+    metrics, each the max* of its two candidate sums, unnormalized.
     """
     prev_metrics = np.asarray(prev_metrics, dtype=np.float64)
     if prev_metrics.shape[-1] != 8:
         raise ValueError("expected 8 state metrics in the last axis")
-    if direction == "forward":
-        sidx, gidx = _TRELLIS.fwd_prev, _TRELLIS.fwd_gamma_idx
-    elif direction == "backward":
-        sidx, gidx = _TRELLIS.bwd_next, _TRELLIS.bwd_gamma_idx
-    else:
+    wiring = {"forward": _FWD, "backward": _BWD}.get(direction)
+    if wiring is None:
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    if ops is not None:
-        blocks = int(np.prod(prev_metrics.shape[:-1], dtype=np.int64))
-        ops.adds += BUTTERFLY_ADDS * blocks
-        ops.max_star_pairs += BUTTERFLY_MAX_STAR_PAIRS * blocks
-    return _kernel(prev_metrics, bm.table(), sidx, gidx, mode, params)
+    return _kernel(prev_metrics, np.asarray(gamma_table, dtype=np.float64),
+                   wiring, mode, params, normalize_metrics=False)
 
 
 def normalize(metrics) -> np.ndarray:
@@ -239,49 +213,38 @@ class SisoInput:
     """One constituent decoder's inputs.
 
     lu   (..., n)  systematic-plus-a-priori LLRs; multiplies the u label.
-    lc1  (..., n)  first-coded-stream LLRs.  The first coded stream of a
-                   systematic code is the information bit itself (c1 == u
-                   on every edge), so its channel LLRs are conventionally
-                   folded into lu and this slot stays zero; it is kept so
-                   the recursions match the general two-coded-stream form.
+                   The first coded stream of a systematic code is the
+                   information bit itself (c1 == u on every edge), so its
+                   channel LLRs are part of lu.
     lc2  (..., n)  second-coded-stream LLRs: the parity stream.
-    tail_lu, tail_lc1, tail_lc2  (..., 3)  the same three streams for the
-                   termination stages.  Leave tail_lu=None for a block
-                   without termination: the backward recursion then
-                   starts uniform instead of pinned to state 0.
+    tail_lu, tail_lc2  (..., 3)  the same two streams for the termination
+                   stages.  Leave tail_lu=None for a block without
+                   termination: the backward recursion then starts
+                   uniform instead of pinned to state 0.
     """
     lu: np.ndarray
     lc2: np.ndarray
-    lc1: np.ndarray | None = None
     tail_lu: np.ndarray | None = None
     tail_lc2: np.ndarray | None = None
-    tail_lc1: np.ndarray | None = None
 
     def __post_init__(self):
         lu = np.asarray(self.lu, dtype=np.float64)
         lc2 = np.asarray(self.lc2, dtype=np.float64)
-        lc1 = (np.zeros_like(lu) if self.lc1 is None
-               else np.asarray(self.lc1, dtype=np.float64))
-        if not (lu.shape == lc1.shape == lc2.shape):
-            raise ValueError(f"input streams disagree in shape: "
-                             f"{lu.shape}, {lc1.shape}, {lc2.shape}")
-        to_check = [lu, lc1, lc2]
+        if lu.shape != lc2.shape:
+            raise ValueError(f"input streams disagree in shape: {lu.shape}, {lc2.shape}")
+        to_check = [lu, lc2]
         object.__setattr__(self, "lu", lu)
-        object.__setattr__(self, "lc1", lc1)
         object.__setattr__(self, "lc2", lc2)
         if self.tail_lu is not None:
             tail_shape = lu.shape[:-1] + (3,)
             tail_lu = np.asarray(self.tail_lu, dtype=np.float64)
             tail_lc2 = (np.zeros(tail_shape) if self.tail_lc2 is None
                         else np.asarray(self.tail_lc2, dtype=np.float64))
-            tail_lc1 = (np.zeros(tail_shape) if self.tail_lc1 is None
-                        else np.asarray(self.tail_lc1, dtype=np.float64))
-            if not (tail_lu.shape == tail_lc1.shape == tail_lc2.shape == tail_shape):
+            if not (tail_lu.shape == tail_lc2.shape == tail_shape):
                 raise ValueError("tail LLRs must have shape (..., 3) matching the block batch")
-            to_check += [tail_lu, tail_lc1, tail_lc2]
+            to_check += [tail_lu, tail_lc2]
             object.__setattr__(self, "tail_lu", tail_lu)
             object.__setattr__(self, "tail_lc2", tail_lc2)
-            object.__setattr__(self, "tail_lc1", tail_lc1)
         for a in to_check:
             if not np.all(np.isfinite(a)):
                 raise ValueError("input LLRs must be finite")
@@ -306,12 +269,10 @@ class SisoResult:
 def _window_schedule(n: int, window_len: int | None):
     if window_len is None:
         return [(0, n)]
-    if window_len < 1:
-        raise ValueError(f"window length must be >= 1, got {window_len}")
     return [(a, min(a + window_len, n)) for a in range(0, n, window_len)]
 
 
-def _tail_boundary(inp: SisoInput, mode, params, normalize_metrics=True):
+def _tail_boundary(inp: SisoInput, mode, params, normalize_metrics):
     """Backward metrics at the end of the information section.
 
     Runs the recursion from state 0 at the end of the tail through the
@@ -322,12 +283,9 @@ def _tail_boundary(inp: SisoInput, mode, params, normalize_metrics=True):
         return np.zeros(shape)
     beta = np.full(shape, METRIC_NEG_INF)
     beta[..., 0] = 0.0
-    tg = 0.5 * compute_branch_metrics(inp.tail_lu, inp.tail_lc1, inp.tail_lc2).table()
+    tg = compute_branch_metrics(0.5 * inp.tail_lu, 0.5 * inp.tail_lc2)
     for k in range(2, -1, -1):
-        beta = _kernel(beta, tg[..., k, :], _TRELLIS.bwd_next,
-                       _TRELLIS.bwd_gamma_idx, mode, params)
-        if normalize_metrics:
-            beta = beta - beta[..., 0:1]
+        beta = _kernel(beta, tg[..., k, :], _BWD, mode, params, normalize_metrics)
     return beta
 
 
@@ -360,8 +318,9 @@ def siso_decode(inp: SisoInput, config, *, normalize_metrics: bool = True) -> Si
     windows = _window_schedule(n, config.window_len)
     acq = config.acquisition_len
 
-    # half-scale metrics: see module docstring
-    gam = 0.5 * compute_branch_metrics(inp.lu, inp.lc1, inp.lc2).table()  # (..., n, 4)
+    # half-scale metrics (see module docstring); halving the inputs is
+    # exact and peaks lower in memory than halving the table
+    gam = compute_branch_metrics(0.5 * inp.lu, 0.5 * inp.lc2)  # (..., n, 4)
 
     # Forward recursion.  Windows hand alpha across their shared
     # boundaries, so this is one continuous pass whatever the schedule.
@@ -373,10 +332,7 @@ def siso_decode(inp: SisoInput, config, *, normalize_metrics: bool = True) -> Si
         store.data[..., k, :] = alpha[..., 1:]
         if alpha0 is not None:
             alpha0[..., k] = alpha[..., 0]
-        alpha = _kernel(alpha, gam[..., k, :], _TRELLIS.fwd_prev,
-                        _TRELLIS.fwd_gamma_idx, mode, params)
-        if normalize_metrics:
-            alpha = alpha - alpha[..., 0:1]
+        alpha = _kernel(alpha, gam[..., k, :], _FWD, mode, params, normalize_metrics)
 
     e_start, e_end = _TRELLIS.edge_start, _TRELLIS.edge_end
     e_gidx = _TRELLIS.edge_gamma_idx
@@ -389,17 +345,13 @@ def siso_decode(inp: SisoInput, config, *, normalize_metrics: bool = True) -> Si
 
     total_acq_stages = 0
     for a, b in windows:
-        if b == n:
-            beta = tail_beta
-        else:
-            start = min(b + acq, n)
-            beta = tail_beta if start == n else np.zeros(batch + (8,))
-            for k in range(start - 1, b - 1, -1):
-                beta = _kernel(beta, gam[..., k, :], _TRELLIS.bwd_next,
-                               _TRELLIS.bwd_gamma_idx, mode, params)
-                if normalize_metrics:
-                    beta = beta - beta[..., 0:1]
-            total_acq_stages += start - b
+        # acquire beta over up to acq stages, starting from the tail
+        # boundary when they reach it (always so for the last window)
+        start = min(b + acq, n)
+        beta = tail_beta if start == n else np.zeros(batch + (8,))
+        for k in range(start - 1, b - 1, -1):
+            beta = _kernel(beta, gam[..., k, :], _BWD, mode, params, normalize_metrics)
+        total_acq_stages += start - b
         # Fused backward/LLR loop: beta holds the stage-(k+1) column when
         # the stage-k LLR is formed, then one more butterfly retires it.
         for k in range(b - 1, a - 1, -1):
@@ -409,18 +361,15 @@ def siso_decode(inp: SisoInput, config, *, normalize_metrics: bool = True) -> Si
             vals = alpha_col[..., e_start] + g[..., e_gidx] + beta[..., e_end]
             llr[..., k] = (max_star_reduce(vals[..., pos_edges], mode, params)
                            - max_star_reduce(vals[..., neg_edges], mode, params))
-            beta = _kernel(beta, g, _TRELLIS.bwd_next,
-                           _TRELLIS.bwd_gamma_idx, mode, params)
-            if normalize_metrics:
-                beta = beta - beta[..., 0:1]
+            beta = _kernel(beta, g, _BWD, mode, params, normalize_metrics)
 
     extrinsic = llr - inp.lu
 
-    bwd_stages = n + total_acq_stages
+    stages = 2 * n + total_acq_stages   # butterfly stages; costs: see OpCounts
     ops = OpCounts(
-        adds=(2 * n + BUTTERFLY_ADDS * (n + bwd_stages) + 32 * n) * blocks,
-        subs=(2 * n + (7 * (n + bwd_stages) if normalize_metrics else 0) + 2 * n) * blocks,
-        max_star_pairs=BUTTERFLY_MAX_STAR_PAIRS * (n + bwd_stages) * blocks,
+        adds=(2 * n + 16 * stages + 32 * n) * blocks,
+        subs=(2 * n + (7 * stages if normalize_metrics else 0) + 2 * n) * blocks,
+        max_star_pairs=8 * stages * blocks,
         llr_reduces=2 * n * blocks,
         stream_reads=3 * (n + (3 if inp.tail_lu is not None else 0)) * blocks,
         stream_writes=2 * n * blocks,

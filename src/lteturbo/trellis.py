@@ -15,8 +15,9 @@ directly.  Each edge carries three labels: u for the information bit, c1
 for the first coded stream and c2 for the second.  For a systematic code
 the first coded stream is the information bit itself, so c1 == u on every
 edge; c2 is the parity bit.  That is what collapses the 16 branch metrics
-to four values g1, -g1, g2, -g2 (see siso.compute_branch_metrics): with
-u and c1 always co-signed, an edge's metric is +-(lu + lc1) +- lc2.
+to four values g1, -g1, g2, -g2 (see siso.compute_branch_metrics): the
+first coded stream's LLRs are part of lu, and an edge's metric is
++-lu +- lc2.
 """
 
 from dataclasses import dataclass
@@ -27,7 +28,6 @@ import numpy as np
 from .qpp import QppParams, permutation
 
 NUM_STATES = 8
-MEMORY = 3
 
 
 def _bipolar(bit):
@@ -137,17 +137,13 @@ class RscCodeword:
     tail_parity: np.ndarray  # (..., 3) tail parity bits
 
 
-def rsc_encode(bits, trellis: TrellisSpec | None = None) -> RscCodeword:
+def rsc_encode(bits) -> RscCodeword:
     """Encode information bits with the constituent RSC code.
 
     Parameters
     ----------
     bits : array-like of 0/1, shape (..., n)
         Information bits; leading axes are independent blocks.
-    trellis : TrellisSpec, optional
-        Defaults to lte_trellis().  Only its step behaviour matters and
-        that is fixed, so the argument mostly exists for symmetry with
-        the decoding entry points.
 
     Returns
     -------
@@ -158,7 +154,6 @@ def rsc_encode(bits, trellis: TrellisSpec | None = None) -> RscCodeword:
     The encoder starts in state 0.  Encoding of the information section
     is linear over GF(2); the tail depends affinely on the final state.
     """
-    del trellis  # single fixed code; see module docstring
     bits = np.asarray(bits)
     if bits.ndim == 0 or bits.shape[-1] < 1:
         raise ValueError("need at least one information bit")

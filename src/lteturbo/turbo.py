@@ -131,7 +131,8 @@ def turbo_decode(ch: ChannelLlrs, config: DecoderConfig,
                          normalize_metrics=normalize_metrics)
         ext2 = quant(s2.extrinsic)
         apriori = ext2[..., ip]
-        ops += s1.ops + s2.ops
+        ops += s1.ops
+        ops += s2.ops
         combined = lu + ext1 + apriori
         if trace is not None:
             trace.append(combined)

@@ -1,11 +1,18 @@
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from lteturbo.cli import MAX_SNR_POINTS, _CliError, _parse_snr_range, main
+from lteturbo.maxstar import MaxStarMode
+from lteturbo.qpp import params_for_block_size
 from lteturbo.sim import BER_CSV_COLUMNS
+from lteturbo.turbo import DecoderConfig, run_monte_carlo
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def read_rows(path):
@@ -133,6 +140,24 @@ class TestBadOptions:
         cfg.write_text(line + "\n")
         assert_one_line_error(capsys, ["ber", "--config", str(cfg)], 6)
 
+    def test_config_file_unknown_key(self, tmp_path, capsys):
+        # a typo must not silently fall back to the default (8 iterations)
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("n=40\niter=1\n")
+        assert main(["ber", "--config", str(cfg)]) == 6
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("turbosim: ")
+        assert "'iter'" in err[0]
+
+    def test_config_file_serves_every_subcommand(self, tmp_path):
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("n=40\nalg=max-log\niters=1\nsnr-db=10\nblocks=1\n"
+                       "seed=1\nwindow-len=8\nacq-len=4\nquant=6:2\n"
+                       "threads=2\n")
+        for command in ("ber", "bench", "interleave"):
+            out = tmp_path / f"{command}.out"
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+
     def test_threads_env_is_not_read(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TURBOSIM_THREADS", "abc")
         assert main(BER_40 + ["--out", str(tmp_path / "ber.csv")]) == 0
@@ -157,6 +182,11 @@ class TestSnrBounds:
         with pytest.raises(_CliError) as err:
             _parse_snr_range("-1000:0.125:250")
         assert err.value.code == 4
+
+    def test_bench_rejects_a_range(self, capsys):
+        argv = ["bench", "--n", "40", "--iters", "1", "--blocks", "1",
+                "--snr-db", "0:1:2"]
+        assert_one_line_error(capsys, argv, 4)
 
     def test_bench_rejects_nan(self, capsys):
         argv = ["bench", "--n", "40", "--iters", "1", "--blocks", "1",
@@ -188,11 +218,31 @@ class TestBench:
         assert "llr_reduces per full iteration at n=40: 160" in text
         assert "relative decode time" in text
 
+    def test_decodes_with_the_window_and_quantization_given(self, tmp_path):
+        out = tmp_path / "bench.txt"
+        assert main(["bench", "--n", "40", "--alg", "max-log", "--iters", "1",
+                     "--blocks", "4", "--seed", "3", "--snr-db", "0",
+                     "--window-len", "8", "--acq-len", "0", "--quant", "3:0",
+                     "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert "window_len=8 acq_len=0 quant=3:0" in lines[0]
+        qpp = params_for_block_size(40)
+        plain = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=1, qpp=qpp)
+        given = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=1, qpp=qpp,
+                              window_len=8, acquisition_len=0, quantization=(3, 0))
+        ber = run_monte_carlo(given, 0.0, 4, 3).ber
+        # the two configurations decode these blocks differently, so the
+        # reported BER shows which one ran
+        assert ber != run_monte_carlo(plain, 0.0, 4, 3).ber
+        assert f"ber={ber:.3e}" in lines[1]
+
 
 def test_console_script_entry_point(tmp_path):
     out = tmp_path / "perm.csv"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "lteturbo.cli", "interleave", "--n", "40",
-         "--out", str(out)], capture_output=True, text=True)
+         "--out", str(out)], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert out.read_text().splitlines()[1] == "0,0"

@@ -142,13 +142,3 @@ class TestCorrectionParams:
             CorrectionParams(a=0.1)
         with pytest.raises(ValueError):
             CorrectionParams(t_lin=-1.0)
-
-    def test_logmap_lut_variant(self):
-        # 8-entry piecewise-constant correction stays within 0.13 of the
-        # exact term and is exact-mode-equal far from the threshold
-        p = CorrectionParams(logmap_lut=True)
-        d = np.linspace(0, 10, 2001)
-        lut = max_star(d, 0.0, MaxStarMode.LOG_MAP, p) - d
-        exact = np.log1p(np.exp(-d))
-        assert np.abs(lut - exact).max() < 0.13
-        assert max_star(10.0, 0.0, MaxStarMode.LOG_MAP, p) == 10.0
