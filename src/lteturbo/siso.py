@@ -14,16 +14,24 @@ cost-saving conventions throughout:
   implicitly zero, so only seven values per stage are stored.
 
 * Storage.  Only the forward metrics are kept (a MetricMatrix of 7*n
-  values per block).  Backward metrics live in an 8-slot working
-  register: the backward recursion and the LLR output are fused into one
-  loop, so each backward column is consumed the moment it is produced.
+  values per block; with windows, n is rounded up to whole windows, so
+  a block that no window length divides stores fewer than 7*window_len
+  padding values).  Backward metrics live in one 8-slot register per
+  lane (window): the backward recursion and the LLR output are fused
+  into one loop, so each backward column is consumed the moment it is
+  produced.  The lanes are rows of one array and read the branch
+  metrics and the forward store through reshaped views, never copies.
 
 * Boundaries.  The forward recursion starts from the known state 0.  The
   backward recursion starts from state 0 at the end of the tail section
   and consumes the three tail-stage LLRs to reach the end of the
-  information section.  In sliding-window mode, interior windows instead
-  acquire their backward boundary by recursing over `acquisition_len`
-  stages from an all-zero (uniform) start.
+  information section.  In sliding-window mode each lane but the last
+  acquires its backward boundary by recursing over up to
+  `acquisition_len` stages of the following windows, from an all-zero
+  (uniform) start, or from the tail boundary when the acquisition
+  reaches the end of the block.  All lanes acquire in the same steps;
+  a lane with a shorter acquisition, and the last lane, idle until
+  their stages begin.
 
 Inputs use bipolar labels: bit 0 -> +1.  An LLR is ln(P(b=0)/P(b=1)), so
 positive LLRs vote for bit 0.  The recursions run on half-scale branch
@@ -107,9 +115,13 @@ def compute_branch_metrics(lu, lc2) -> np.ndarray:
     """
     lu = np.asarray(lu, dtype=np.float64)
     lc2 = np.asarray(lc2, dtype=np.float64)
-    g1 = lu + lc2
-    g2 = lc2 - lu
-    return np.stack([g1, g2, -g2, -g1], axis=-1)
+    # written in place: no block-sized temporaries besides the table
+    table = np.empty(np.broadcast_shapes(lu.shape, lc2.shape) + (4,))
+    np.add(lu, lc2, out=table[..., 0])
+    np.subtract(lc2, lu, out=table[..., 1])
+    np.negative(table[..., 1], out=table[..., 2])
+    np.negative(table[..., 0], out=table[..., 3])
+    return table
 
 
 def _kernel(metrics, gamma_table, wiring, mode, params, normalize_metrics):
@@ -188,22 +200,20 @@ def track_metric_allocations():
 
 
 class MetricMatrix:
-    """Normalized forward metrics: seven values per stage, state 0 omitted."""
+    """Normalized forward metrics: seven values per stage, state 0 omitted.
 
-    def __init__(self, batch_shape: tuple, n: int):
-        self.n = n
-        self.data = np.empty(batch_shape + (n, 7))
+    Holds the block's stages rounded up to whole windows; the padding
+    stages (fewer than one window) count as stored values.
+    """
+
+    def __init__(self, batch_shape: tuple, stages: int):
+        self.data = np.empty(batch_shape + (stages, 7))
         if _allocation_log is not None:
             _allocation_log.append(self)
 
     @property
     def stored_values_per_block(self) -> int:
-        return 7 * self.n
-
-    def full_column(self, k) -> np.ndarray:
-        """Reconstruct the 8-state column at stage k (state 0 is zero)."""
-        col = self.data[..., k, :]
-        return np.concatenate([np.zeros(col.shape[:-1] + (1,)), col], axis=-1)
+        return 7 * self.data.shape[-2]
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +228,9 @@ class SisoInput:
                    channel LLRs are part of lu.
     lc2  (..., n)  second-coded-stream LLRs: the parity stream.
     tail_lu, tail_lc2  (..., 3)  the same two streams for the termination
-                   stages.  Leave tail_lu=None for a block without
-                   termination: the backward recursion then starts
-                   uniform instead of pinned to state 0.
+                   stages.  Give both or neither; leave both None for a
+                   block without termination: the backward recursion
+                   then starts uniform instead of pinned to state 0.
     """
     lu: np.ndarray
     lc2: np.ndarray
@@ -232,14 +242,15 @@ class SisoInput:
         lc2 = np.asarray(self.lc2, dtype=np.float64)
         if lu.shape != lc2.shape:
             raise ValueError(f"input streams disagree in shape: {lu.shape}, {lc2.shape}")
+        if (self.tail_lu is None) != (self.tail_lc2 is None):
+            raise ValueError("a tail needs both tail_lu and tail_lc2, or neither")
         to_check = [lu, lc2]
         object.__setattr__(self, "lu", lu)
         object.__setattr__(self, "lc2", lc2)
         if self.tail_lu is not None:
             tail_shape = lu.shape[:-1] + (3,)
             tail_lu = np.asarray(self.tail_lu, dtype=np.float64)
-            tail_lc2 = (np.zeros(tail_shape) if self.tail_lc2 is None
-                        else np.asarray(self.tail_lc2, dtype=np.float64))
+            tail_lc2 = np.asarray(self.tail_lc2, dtype=np.float64)
             if not (tail_lu.shape == tail_lc2.shape == tail_shape):
                 raise ValueError("tail LLRs must have shape (..., 3) matching the block batch")
             to_check += [tail_lu, tail_lc2]
@@ -266,12 +277,6 @@ class SisoResult:
     forward_metrics: MetricMatrix = field(repr=False, default=None)
 
 
-def _window_schedule(n: int, window_len: int | None):
-    if window_len is None:
-        return [(0, n)]
-    return [(a, min(a + window_len, n)) for a in range(0, n, window_len)]
-
-
 def _tail_boundary(inp: SisoInput, mode, params, normalize_metrics):
     """Backward metrics at the end of the information section.
 
@@ -289,8 +294,25 @@ def _tail_boundary(inp: SisoInput, mode, params, normalize_metrics):
     return beta
 
 
+def _pad_stages(x, span: int):
+    """x (..., n) with zero stages appended up to span; x itself if none."""
+    pad = span - x.shape[-1]
+    return x if pad == 0 else np.concatenate(
+        [x, np.zeros(x.shape[:-1] + (pad,))], axis=-1)
+
+
 def siso_decode(inp: SisoInput, config, *, normalize_metrics: bool = True) -> SisoResult:
     """Decode one constituent code block (or a batch of them).
+
+    The forward recursion runs once over the whole block.  The backward
+    recursion and the LLR output run on lanes, one per window: lane w
+    covers stages [w*L, w*L + L), L = window_len (n without windows), and
+    all lanes step together, first over A acquisition steps (A is the
+    longest acquisition any lane has), then over L window steps.  Each
+    step applies the same stage step to each lane as a one-window-at-a-
+    time decode would, on the same values, so the output is identical
+    for every kernel; the Python loop runs L + A times instead of
+    n + sum(acquisition).  A lane idles while its stage lies beyond n.
 
     Parameters
     ----------
@@ -315,17 +337,25 @@ def siso_decode(inp: SisoInput, config, *, normalize_metrics: bool = True) -> Si
     n = inp.n
     batch = inp.batch_shape
     blocks = int(np.prod(batch, dtype=np.int64))
-    windows = _window_schedule(n, config.window_len)
+    lanes = config.num_windows(n)
+    L = n if config.window_len is None else min(config.window_len, n)
+    span = lanes * L            # n plus fewer than L padding stages
+    rows = blocks * lanes
     acq = config.acquisition_len
+    # acquisition stages of each lane: up to acq, cut off by the tail
+    lane_acq = [min(acq, max(0, n - (w + 1) * L)) for w in range(lanes)]
+    A = max(lane_acq, default=0)
 
     # half-scale metrics (see module docstring); halving the inputs is
     # exact and peaks lower in memory than halving the table
-    gam = compute_branch_metrics(0.5 * inp.lu, 0.5 * inp.lc2)  # (..., n, 4)
+    gam = compute_branch_metrics(_pad_stages(0.5 * inp.lu, span),
+                                 _pad_stages(0.5 * inp.lc2, span))  # (..., span, 4)
 
     # Forward recursion.  Windows hand alpha across their shared
     # boundaries, so this is one continuous pass whatever the schedule.
-    store = MetricMatrix(batch, n)
-    alpha0 = None if normalize_metrics else np.empty(batch + (n,))
+    store = MetricMatrix(batch, span)
+    store.data[..., n:, :] = 0.0
+    alpha0 = None if normalize_metrics else np.zeros(batch + (span,))
     alpha = np.full(batch + (8,), METRIC_NEG_INF)
     alpha[..., 0] = 0.0
     for k in range(n):
@@ -334,38 +364,55 @@ def siso_decode(inp: SisoInput, config, *, normalize_metrics: bool = True) -> Si
             alpha0[..., k] = alpha[..., 0]
         alpha = _kernel(alpha, gam[..., k, :], _FWD, mode, params, normalize_metrics)
 
+    # Lane views: row b*lanes + w is lane w of block b; stage j of every
+    # lane is column j.  Reshaping the contiguous arrays copies nothing.
+    gam_lanes = gam.reshape(blocks, lanes, L, 4)
+    gam_rows = gam.reshape(rows, L, 4)
+    store_rows = store.data.reshape(rows, L, 7)
+    llr = np.empty(batch + (span,))
+    llr_rows = llr.reshape(rows, L)
+    alpha0_rows = None if alpha0 is None else alpha0.reshape(rows, L)
+
+    def backward_step(beta, j):
+        # stage w*L + j of each lane; lanes 0..valid-1 have it in the block
+        d, c = divmod(j, L)
+        valid = -(-(n - j) // L)
+        if valid == lanes:
+            return _kernel(beta, gam_rows[:, c], _BWD, mode, params, normalize_metrics)
+        part = beta.reshape(blocks, lanes, 8)[:, :valid]
+        part[...] = _kernel(part, gam_lanes[:, d:d + valid, c], _BWD,
+                            mode, params, normalize_metrics)
+        return beta
+
+    # A lane whose acquisition reaches the tail (always so for the last
+    # lane) starts from the tail boundary, the others uniform.
+    tail_beta = _tail_boundary(inp, mode, params, normalize_metrics)
+    reaches_tail = np.arange(1, lanes + 1)[:, None] * L + acq >= n
+    beta = np.where(reaches_tail, tail_beta[..., None, :], 0.0).reshape(rows, 8)
+    for j in range(L + A - 1, L - 1, -1):
+        beta = backward_step(beta, j)
+
     e_start, e_end = _TRELLIS.edge_start, _TRELLIS.edge_end
     e_gidx = _TRELLIS.edge_gamma_idx
     pos_edges = np.where(_TRELLIS.edge_info == 0)[0]
     neg_edges = np.where(_TRELLIS.edge_info == 1)[0]
+    alpha_col = np.zeros((rows, 8))
+    # Fused backward/LLR loop: beta holds the stage-(j+1) column when the
+    # stage-j LLR is formed, then one more stage step retires it.
+    for j in range(L - 1, -1, -1):
+        if alpha0_rows is not None:
+            alpha_col[:, 0] = alpha0_rows[:, j]
+        alpha_col[:, 1:] = store_rows[:, j]
+        g = gam_rows[:, j]
+        vals = alpha_col[:, e_start] + g[:, e_gidx] + beta[:, e_end]
+        llr_rows[:, j] = (max_star_reduce(vals[:, pos_edges], mode, params)
+                          - max_star_reduce(vals[:, neg_edges], mode, params))
+        beta = backward_step(beta, j)
 
-    llr = np.empty(batch + (n,))
-    alpha_col = np.zeros(batch + (8,))
-    tail_beta = _tail_boundary(inp, mode, params, normalize_metrics)
-
-    total_acq_stages = 0
-    for a, b in windows:
-        # acquire beta over up to acq stages, starting from the tail
-        # boundary when they reach it (always so for the last window)
-        start = min(b + acq, n)
-        beta = tail_beta if start == n else np.zeros(batch + (8,))
-        for k in range(start - 1, b - 1, -1):
-            beta = _kernel(beta, gam[..., k, :], _BWD, mode, params, normalize_metrics)
-        total_acq_stages += start - b
-        # Fused backward/LLR loop: beta holds the stage-(k+1) column when
-        # the stage-k LLR is formed, then one more butterfly retires it.
-        for k in range(b - 1, a - 1, -1):
-            alpha_col[..., 0] = 0.0 if alpha0 is None else alpha0[..., k]
-            alpha_col[..., 1:] = store.data[..., k, :]
-            g = gam[..., k, :]
-            vals = alpha_col[..., e_start] + g[..., e_gidx] + beta[..., e_end]
-            llr[..., k] = (max_star_reduce(vals[..., pos_edges], mode, params)
-                           - max_star_reduce(vals[..., neg_edges], mode, params))
-            beta = _kernel(beta, g, _BWD, mode, params, normalize_metrics)
-
+    llr = llr[..., :n]
     extrinsic = llr - inp.lu
 
-    stages = 2 * n + total_acq_stages   # butterfly stages; costs: see OpCounts
+    stages = 2 * n + sum(lane_acq)   # butterfly stages; costs: see OpCounts
     ops = OpCounts(
         adds=(2 * n + 16 * stages + 32 * n) * blocks,
         subs=(2 * n + (7 * stages if normalize_metrics else 0) + 2 * n) * blocks,

@@ -69,10 +69,6 @@ class TrellisSpec:
     initial_state : int
     edges : tuple of TrellisEdge
         All 16 edges, ordered by (start_state, info bit).
-    butterfly_pairs : tuple
-        Four ((start, start), (end, end)) groups; the two edges leaving a
-        butterfly with u=+1 carry the branch-metric value opposite in sign
-        to the two with u=-1.
     fwd_prev, fwd_gamma_idx : (8, 2) int arrays
         For each end state, its two predecessor states and, per incoming
         edge, an index into the metric value table [g1, g2, -g2, -g1].
@@ -94,10 +90,6 @@ class TrellisSpec:
         self.num_states = NUM_STATES
         self.initial_state = 0
         self.edges = tuple(edges)
-        self.butterfly_pairs = tuple(
-            ((2 * t, 2 * t + 1),
-             tuple(sorted({e.end_state for e in edges if e.start_state in (2 * t, 2 * t + 1)})))
-            for t in range(4))
 
         # gamma value index per (u, c2) sign pattern, into [g1, g2, -g2, -g1]:
         # (+,+) -> g1, (-,+) -> g2, (+,-) -> g3 = -g2, (-,-) -> g4 = -g1.

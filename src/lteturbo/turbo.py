@@ -64,6 +64,7 @@ class DecoderConfig:
         return None if self.qpp is None else self.qpp.n
 
     def num_windows(self, n: int) -> int:
+        """Windows of an n-stage block: the lanes siso_decode runs."""
         if self.window_len is None:
             return 1
         return -(-n // self.window_len)
@@ -122,17 +123,22 @@ def turbo_decode(ch: ChannelLlrs, config: DecoderConfig,
     apriori = np.zeros_like(lu)
     bits = None
     for iteration in range(1, config.iterations + 1):
+        # each SisoResult is dropped once read: it holds its forward
+        # metrics, the largest array of a call, which the next call
+        # would otherwise allocate beside it
         s1 = siso_decode(SisoInput(lu=lu + apriori, lc2=parity1,
                                    tail_lu=t1i, tail_lc2=t1p), config,
                          normalize_metrics=normalize_metrics)
         ext1 = quant(s1.extrinsic)
+        ops += s1.ops
+        del s1
         s2 = siso_decode(SisoInput(lu=lu_perm + ext1[..., pi], lc2=parity2,
                                    tail_lu=t2i, tail_lc2=t2p), config,
                          normalize_metrics=normalize_metrics)
         ext2 = quant(s2.extrinsic)
-        apriori = ext2[..., ip]
-        ops += s1.ops
         ops += s2.ops
+        del s2
+        apriori = ext2[..., ip]
         combined = lu + ext1 + apriori
         if trace is not None:
             trace.append(combined)

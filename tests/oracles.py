@@ -3,8 +3,9 @@
 Everything here is deliberately written from scratch in plain scalar
 Python (no shared code with src/): a bit-level shift-register encoder,
 exhaustive a-posteriori / best-sequence LLR computations that enumerate
-every information word, and a 16-edge state-metric update that walks the
-edge list directly.
+every information word, a 16-edge state-metric update that walks the
+edge list directly, and a sliding-window decoder that runs one window
+after another.
 """
 
 import math
@@ -117,3 +118,85 @@ def dyadic(rng, shape, grid_bits=6, scale=4.0):
     """Random LLR-like values on a dyadic grid (exact float arithmetic)."""
     step = 2.0 ** -grid_bits
     return np.round(rng.normal(0.0, scale, shape) / step) * step
+
+
+# Stands in for an unreachable state's metric: far below any real path.
+_UNREACHABLE = -1.0e300
+
+
+def _ref_max_star(x, y, mode, c, t, a, t_lin):
+    """max* of two floats by kernel name; the correction is exactly 0.0
+    when one argument is unreachable."""
+    m, d = max(x, y), abs(x - y)
+    if mode == "max-log":
+        return m
+    if mode == "log-map":
+        return m + math.log1p(math.exp(-d))
+    if mode == "constant":
+        return m + (c if d <= t else 0.0)
+    return m + max(0.0, a * (d - t_lin))
+
+
+def window_reference_llrs(lu, lc2, tail_lu, tail_lc2, mode, window_len,
+                          acquisition_len, normalize, c, t, a, t_lin):
+    """Sliding-window max* decode of one block, one window at a time.
+
+    The forward recursion runs over the whole block from state 0.  Each
+    window [w0, w1) then acquires its backward boundary over up to
+    acquisition_len stages past w1, from uniform metrics, or from the
+    tail boundary when those stages reach the end of the block, and runs
+    back over its own stages, forming each LLR as a left fold of max*
+    over the eight u=0 edges minus that over the eight u=1 edges, edges
+    taken by ascending start state.  Branch metrics are half-scale,
+    u*lu/2 + c2*lc2/2 with bipolar labels; with normalize the state-0
+    metric is subtracted after every stage.  c, t, a, t_lin are the
+    correction constants of the constant and linear kernels.
+    tail_lu=None means no termination (uniform end).
+    """
+    n = len(lu)
+    star = lambda x, y: _ref_max_star(x, y, mode, c, t, a, t_lin)
+    edges = []   # (start, end, u, c2) by ascending start state, bit 0 first
+    for s in range(8):
+        reg = [(s >> 2) & 1, (s >> 1) & 1, s & 1]
+        for bit in (0, 1):
+            nreg, p = _step(reg, bit)
+            edges.append((s, _state_of(nreg), 1 - 2 * bit, 1 - 2 * p))
+
+    def step(metrics, hl, hp, forward):
+        best = [None] * 8
+        for s, e, u, c2 in edges:
+            src, dst = (s, e) if forward else (e, s)
+            cand = metrics[src] + (u * hl + c2 * hp)
+            best[dst] = cand if best[dst] is None else star(best[dst], cand)
+        return [m - best[0] for m in best] if normalize else best
+
+    half_lu = [0.5 * x for x in lu]
+    half_lc2 = [0.5 * x for x in lc2]
+    alphas = []
+    alpha = [0.0] + [_UNREACHABLE] * 7
+    for k in range(n):
+        alphas.append(alpha)
+        alpha = step(alpha, half_lu[k], half_lc2[k], True)
+
+    if tail_lu is None:
+        tail_beta = [0.0] * 8
+    else:
+        tail_beta = [0.0] + [_UNREACHABLE] * 7
+        for k in (2, 1, 0):
+            tail_beta = step(tail_beta, 0.5 * tail_lu[k], 0.5 * tail_lc2[k], False)
+
+    llrs = [0.0] * n
+    for w0 in range(0, n, window_len):
+        w1 = min(w0 + window_len, n)
+        acq_end = min(w1 + acquisition_len, n)
+        beta = tail_beta if acq_end == n else [0.0] * 8
+        for k in range(acq_end - 1, w1 - 1, -1):
+            beta = step(beta, half_lu[k], half_lc2[k], False)
+        for k in range(w1 - 1, w0 - 1, -1):
+            folds = {}
+            for s, e, u, c2 in edges:
+                v = alphas[k][s] + (u * half_lu[k] + c2 * half_lc2[k]) + beta[e]
+                folds[u] = v if u not in folds else star(folds[u], v)
+            llrs[k] = folds[1] - folds[-1]
+            beta = step(beta, half_lu[k], half_lc2[k], False)
+    return np.array(llrs)

@@ -4,13 +4,15 @@ from hypothesis import given, settings, strategies as st
 
 from lteturbo.maxstar import (METRIC_NEG_INF, SENTINEL_CEILING,
                               DEFAULT_CORRECTION, MaxStarMode, max_star)
-from lteturbo.siso import (MetricMatrix, SisoInput, butterfly_update,
-                           compute_branch_metrics, normalize, quantize_llrs,
-                           siso_decode, track_metric_allocations)
+from lteturbo import siso
+from lteturbo.siso import (SisoInput, butterfly_update, compute_branch_metrics,
+                           normalize, quantize_llrs, siso_decode,
+                           track_metric_allocations)
 from lteturbo.trellis import lte_trellis
 from lteturbo.turbo import DecoderConfig
 
-from oracles import dyadic, exhaustive_llrs, naive_state_update
+from oracles import (dyadic, exhaustive_llrs, naive_state_update,
+                     window_reference_llrs)
 
 ALL_MODES = list(MaxStarMode)
 
@@ -226,13 +228,6 @@ class TestSisoDecode:
         assert log[0].data.shape == (n, 7)
         assert res.forward_metrics is log[0]
 
-    def test_metric_matrix_full_column(self):
-        m = MetricMatrix((), 4)
-        m.data[:] = 1.5
-        col = m.full_column(2)
-        assert col.shape == (8,)
-        assert col[0] == 0.0 and (col[1:] == 1.5).all()
-
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="shape"):
             SisoInput(lu=np.zeros(8), lc2=np.zeros(9))
@@ -240,6 +235,45 @@ class TestSisoDecode:
             SisoInput(lu=np.array([np.inf, 0.0]), lc2=np.zeros(2))
         with pytest.raises(ValueError, match="tail"):
             SisoInput(lu=np.zeros(8), lc2=np.zeros(8), tail_lu=np.zeros(4))
+
+    def test_tail_needs_both_halves(self):
+        # one half alone would decode as unterminated (tail_lc2 only)
+        # or with a silent zero parity tail (tail_lu only)
+        with pytest.raises(ValueError, match="tail"):
+            SisoInput(lu=np.zeros(8), lc2=np.zeros(8), tail_lc2=np.ones(3))
+        with pytest.raises(ValueError, match="tail"):
+            SisoInput(lu=np.zeros(8), lc2=np.zeros(8), tail_lu=np.ones(3))
+
+    def test_lanes_step_together(self, monkeypatch):
+        # every lane advances in the same stage steps and folds: one
+        # call per step whatever the number of windows
+        calls = {"max_star": 0, "max_star_reduce": 0}
+
+        def counted(name):
+            fn = getattr(siso, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(siso, name, counted(name))
+        n, w, acq = 64, 16, 8
+        inp = random_siso_input(np.random.default_rng(23), n)
+        siso_decode(inp, config_for(MaxStarMode.LINEAR_LOG, window_len=w,
+                                    acquisition_len=acq))
+        assert calls["max_star_reduce"] == 2 * w
+        # forward n, window w, acquisition acq, tail 3
+        assert calls["max_star"] == n + w + acq + 3
+
+    def test_padding_stages_are_reported(self):
+        # 40 stages in 16-stage windows: three lanes span 48 stages
+        inp = random_siso_input(np.random.default_rng(24), 40)
+        with track_metric_allocations() as log:
+            res = siso_decode(inp, config_for(MaxStarMode.MAX_LOG, window_len=16))
+        assert log[0].stored_values_per_block == 7 * 48
+        assert res.llr_out.shape == (40,)
 
 
 @st.composite
@@ -289,6 +323,50 @@ class TestStageStepProperties:
             one = siso_decode(SisoInput(lu=inp.lu[i], lc2=inp.lc2[i], **tail), cfg)
             assert one.llr_out.tobytes() == batch.llr_out[i].tobytes()
             assert one.extrinsic.tobytes() == batch.extrinsic[i].tobytes()
+
+
+@st.composite
+def windowed_case(draw):
+    """(window_len, acquisition_len, batch-2 input) with n not a multiple
+    of window_len and an acquisition of 0, shorter than a window, or
+    longer (spanning several lanes)."""
+    window = draw(st.integers(2, 8))
+    n = window * draw(st.integers(0, 4)) + draw(st.integers(1, window - 1))
+    acq = draw(st.one_of(st.just(0), st.integers(1, window - 1),
+                         st.integers(window + 1, 3 * window)))
+
+    def stream(length):
+        ints = draw(st.lists(st.integers(-1024, 1024),
+                             min_size=2 * length, max_size=2 * length))
+        return np.array(ints, dtype=np.float64).reshape(2, length) / 64.0
+
+    lu, lc2 = stream(n), stream(n)
+    tail = {} if draw(st.booleans()) else dict(tail_lu=stream(3), tail_lc2=stream(3))
+    return window, acq, SisoInput(lu=lu, lc2=lc2, **tail)
+
+
+class TestWindowReference:
+    """The lockstep lanes against a decoder that runs one window after
+    another (tests/oracles.py), bit for bit on dyadic inputs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=windowed_case(), mode=st.sampled_from(ALL_MODES),
+           normalize_metrics=st.booleans())
+    def test_lanes_equal_window_by_window_reference(self, case, mode,
+                                                    normalize_metrics):
+        window, acq, inp = case
+        res = siso_decode(inp, config_for(mode, window_len=window,
+                                          acquisition_len=acq),
+                          normalize_metrics=normalize_metrics)
+        p = DEFAULT_CORRECTION
+        for i in range(2):
+            tail = ((None, None) if inp.tail_lu is None
+                    else (inp.tail_lu[i], inp.tail_lc2[i]))
+            want = window_reference_llrs(
+                inp.lu[i].tolist(), inp.lc2[i].tolist(), *tail, mode.value,
+                window, acq, normalize_metrics, p.c, p.t, p.a, p.t_lin)
+            assert res.llr_out[i].tobytes() == want.tobytes()
+            assert res.extrinsic[i].tobytes() == (want - inp.lu[i]).tobytes()
 
 
 class TestQuantize:

@@ -39,12 +39,14 @@ class TestTrellisStructure:
         # opposite sign to the u=-1 edges: gamma index pairs (g1, g4) or
         # (g3, g2), i.e. {0, 3} or {2, 1}
         tr = lte_trellis()
-        for (starts, ends) in tr.butterfly_pairs:
+        for starts in [(2 * t, 2 * t + 1) for t in range(4)]:
+            leaving = [(e, g) for e, g in zip(tr.edges, tr.edge_gamma_idx)
+                       if e.start_state in starts]
+            # a butterfly: two start states sharing their two end states
+            assert len({e.end_state for e, _ in leaving}) == 2
             idx = {}
-            for e, g in zip(tr.edges, tr.edge_gamma_idx):
-                if e.start_state in starts:
-                    assert e.end_state in ends
-                    idx.setdefault(e.u, set()).add(int(g))
+            for e, g in leaving:
+                idx.setdefault(e.u, set()).add(int(g))
             assert idx[1] in ({0}, {2})
             assert idx[-1] == {3 - next(iter(idx[1]))}
 
