@@ -14,8 +14,8 @@ from .maxstar import (DEFAULT_CORRECTION, METRIC_NEG_INF, CorrectionParams,
 from .qpp import (QppParams, block_sizes, inverse_permutation,
                   params_for_block_size, permutation, qpp_index)
 from .siso import (MetricMatrix, OpCounts, SisoInput, SisoResult,
-                   butterfly_update, compute_branch_metrics, normalize,
-                   quantize_llrs, siso_decode, track_metric_allocations)
+                   compute_branch_metrics, quantize_llrs, siso_decode,
+                   track_metric_allocations)
 from .trellis import (CodeWord, RscCodeword, TerminationBits, TrellisEdge,
                       TrellisSpec, lte_trellis, rsc_encode, turbo_encode)
 from .turbo import (DecodeResult, DecoderConfig, McResult, ber_vs_iterations,
@@ -31,8 +31,8 @@ __all__ = [
     "QppParams", "block_sizes", "inverse_permutation", "params_for_block_size",
     "permutation", "qpp_index",
     "MetricMatrix", "OpCounts", "SisoInput", "SisoResult",
-    "butterfly_update", "compute_branch_metrics", "normalize", "quantize_llrs",
-    "siso_decode", "track_metric_allocations",
+    "compute_branch_metrics", "quantize_llrs", "siso_decode",
+    "track_metric_allocations",
     "CodeWord", "RscCodeword", "TerminationBits", "TrellisEdge", "TrellisSpec",
     "lte_trellis", "rsc_encode", "turbo_encode",
     "DecodeResult", "DecoderConfig", "McResult", "ber_vs_iterations",

@@ -17,7 +17,8 @@ Exit codes (each error prints one `turbosim:` line on stderr):
   4  malformed SNR point or range: not a number, not finite, beyond
      +-1000 dB, a range of more than 10000 points, or (bench) more
      than one point
-  5  unwritable output path or unreadable config file
+  5  unwritable output path, or a config file that cannot be read or
+     is not UTF-8 text
   6  bad option value: unknown --alg, malformed --quant, --iters < 1,
      --window-len < 1, --acq-len < 0, --blocks < 1, --seed outside
      [0, 2**64), a config-file value of the wrong type, or a
@@ -93,14 +94,14 @@ def _parse_quant(text):
 def _load_config_file(path):
     values = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 key, _, value = line.partition("=")
                 values[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(EXIT_BAD_OUTPUT, f"cannot read config file: {exc}")
     return values
 

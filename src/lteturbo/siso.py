@@ -49,13 +49,11 @@ times the per-block counts).
 """
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Literal
+from dataclasses import dataclass
 
 import numpy as np
 
-from .maxstar import (METRIC_NEG_INF, SENTINEL_CEILING, DEFAULT_CORRECTION,
-                      CorrectionParams, MaxStarMode, max_star, max_star_reduce)
+from .maxstar import METRIC_NEG_INF, MaxStarMode, max_star, max_star_reduce
 from .trellis import lte_trellis
 
 _TRELLIS = lte_trellis()
@@ -136,44 +134,6 @@ def _kernel(metrics, gamma_table, wiring, mode, params, normalize_metrics):
     cand = metrics[..., state_idx] + gamma_table[..., gamma_idx]
     out = max_star(cand[..., 0], cand[..., 1], mode, params)
     return out - out[..., 0:1] if normalize_metrics else out
-
-
-def butterfly_update(prev_metrics, gamma_table,
-                     direction: Literal["forward", "backward"],
-                     mode: MaxStarMode = MaxStarMode.MAX_LOG,
-                     params: CorrectionParams = DEFAULT_CORRECTION) -> np.ndarray:
-    """One trellis stage of the state-metric recursion.
-
-    prev_metrics holds the eight previous-stage metrics (alpha when
-    direction="forward", beta at the following stage when "backward");
-    unreachable states carry the METRIC_NEG_INF sentinel.  gamma_table
-    is one stage of compute_branch_metrics.  Returns the eight next
-    metrics, each the max* of its two candidate sums, unnormalized.
-    """
-    prev_metrics = np.asarray(prev_metrics, dtype=np.float64)
-    if prev_metrics.shape[-1] != 8:
-        raise ValueError("expected 8 state metrics in the last axis")
-    wiring = {"forward": _FWD, "backward": _BWD}.get(direction)
-    if wiring is None:
-        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    return _kernel(prev_metrics, np.asarray(gamma_table, dtype=np.float64),
-                   wiring, mode, params, normalize_metrics=False)
-
-
-def normalize(metrics) -> np.ndarray:
-    """Stored form of a metric column: states 1..7 minus state 0.
-
-    State 0 is the normalizer and is implicitly zero afterwards; storing
-    seven of eight values saves 12.5% of metric memory.  Raises if the
-    normalizer state is unreachable (cannot happen after stage 0, since
-    state 0 always reaches itself).
-    """
-    metrics = np.asarray(metrics, dtype=np.float64)
-    if metrics.shape[-1] != 8:
-        raise ValueError("expected 8 state metrics in the last axis")
-    if np.any(metrics[..., 0] <= SENTINEL_CEILING):
-        raise ValueError("normalizer state is unreachable")
-    return metrics[..., 1:] - metrics[..., 0:1]
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +234,6 @@ class SisoResult:
     llr_out: np.ndarray       # (..., n) a-posteriori LLRs of the info bits
     extrinsic: np.ndarray     # (..., n) llr_out - lu
     ops: OpCounts
-    forward_metrics: MetricMatrix = field(repr=False, default=None)
 
 
 def _tail_boundary(inp: SisoInput, mode, params, normalize_metrics):
@@ -424,7 +383,7 @@ def siso_decode(inp: SisoInput, config, *, normalize_metrics: bool = True) -> Si
     if mode is MaxStarMode.LINEAR_LOG:
         ops.muls = ops.max_star_pairs + 7 * ops.llr_reduces
 
-    return SisoResult(llr_out=llr, extrinsic=extrinsic, ops=ops, forward_metrics=store)
+    return SisoResult(llr_out=llr, extrinsic=extrinsic, ops=ops)
 
 
 def quantize_llrs(llrs, bits: int, frac_bits: int) -> np.ndarray:

@@ -5,8 +5,7 @@ and parity1 streams, interleaves its extrinsic output, runs the second
 constituent decoder on the interleaved systematic and parity2 streams,
 and deinterleaves that extrinsic back as the next a-priori input.  The
 first iteration starts with zero a-priori.  After the configured number
-of iterations (or earlier, under the optional hard-decision stop rule)
-the decision statistic is
+of iterations the decision statistic is
 
     final_llr = lu + extrinsic1 + deinterleave(extrinsic2)
 
@@ -75,7 +74,6 @@ class DecodeResult:
     hard_bits: np.ndarray                 # (..., n) 0/1 decisions
     final_llrs: np.ndarray                # (..., n)
     ops: OpCounts
-    half_iterations_run: int
     per_iteration_llrs: list | None = field(default=None, repr=False)
 
 
@@ -88,18 +86,14 @@ def _quantizer(config: DecoderConfig):
 
 def turbo_decode(ch: ChannelLlrs, config: DecoderConfig,
                  trace_iterations: bool = False, *,
-                 normalize_metrics: bool = True,
-                 stop_on_repeat: bool = False) -> DecodeResult:
-    """Run up to config.iterations full iterations.
+                 normalize_metrics: bool = True) -> DecodeResult:
+    """Run config.iterations full iterations.
 
-    With stop_on_repeat=True decoding stops after the first iteration
-    whose hard decisions equal the previous iteration's (the hard-decision
-    rule of Shao, Lin & Fossorier, IEEE TCOM 1999); half_iterations_run
-    reports how many half-iterations ran.  With trace_iterations=True the
-    result carries the combined LLR vector after every full iteration run
-    (per_iteration_llrs[i] for iteration i+1).  normalize_metrics is the
-    debug toggle of siso_decode, passed through so the two normalization
-    settings can be compared end to end.
+    With trace_iterations=True the result carries the combined LLR
+    vector after every full iteration (per_iteration_llrs[i] for
+    iteration i+1).  normalize_metrics is the debug toggle of
+    siso_decode, passed through so the two normalization settings can be
+    compared end to end.
     """
     qpp = config.qpp
     if qpp is None:
@@ -121,11 +115,10 @@ def turbo_decode(ch: ChannelLlrs, config: DecoderConfig,
     ops = OpCounts()
     trace = [] if trace_iterations else None
     apriori = np.zeros_like(lu)
-    bits = None
-    for iteration in range(1, config.iterations + 1):
-        # each SisoResult is dropped once read: it holds its forward
-        # metrics, the largest array of a call, which the next call
-        # would otherwise allocate beside it
+    for _ in range(config.iterations):
+        # each SisoResult is dropped once read: its llr_out and extrinsic
+        # are block-sized, and would otherwise stay alive through the
+        # next siso_decode call, beside that call's own temporaries
         s1 = siso_decode(SisoInput(lu=lu + apriori, lc2=parity1,
                                    tail_lu=t1i, tail_lc2=t1p), config,
                          normalize_metrics=normalize_metrics)
@@ -142,17 +135,12 @@ def turbo_decode(ch: ChannelLlrs, config: DecoderConfig,
         combined = lu + ext1 + apriori
         if trace is not None:
             trace.append(combined)
-        if stop_on_repeat:
-            prev_bits, bits = bits, (combined < 0).astype(np.uint8)
-            if prev_bits is not None and np.array_equal(bits, prev_bits):
-                break
     # Hard decisions are built once here, not per iteration: an extra
     # per-iteration array raised the sweep's peak RSS by about 10%.
     return DecodeResult(
-        hard_bits=(combined < 0).astype(np.uint8) if bits is None else bits,
+        hard_bits=(combined < 0).astype(np.uint8),
         final_llrs=combined,
         ops=ops,
-        half_iterations_run=2 * iteration,
         per_iteration_llrs=trace)
 
 
@@ -187,15 +175,13 @@ def _default_batch_size(n: int) -> int:
 
 
 def run_monte_carlo(config: DecoderConfig, snr_db: float, num_blocks: int,
-                    seed: int, *, block_offset: int = 0,
-                    batch_size: int | None = None,
+                    seed: int, *, batch_size: int | None = None,
                     per_iteration: bool = False) -> McResult:
     """Simulate and decode num_blocks random blocks at one Eb/N0 point.
 
     Blocks are decoded in batches of batch_size (default: a size that
-    bounds the batched forward-metric store).  block_offset shifts the
-    absolute block indices, and hence the RNG streams, so a run can be
-    split into parts without changing any result.  decode_s accumulates
+    bounds the batched forward-metric store); block b draws from
+    block_rng(seed, b) whatever the batching.  decode_s accumulates
     the wall time of the turbo_decode calls alone; generating and
     encoding the blocks and simulating the channel are not in it.
     """
@@ -215,7 +201,7 @@ def run_monte_carlo(config: DecoderConfig, snr_db: float, num_blocks: int,
         bits = np.empty((b, n), dtype=np.uint8)
         noise = np.empty((b, 3 * n + 12))
         for i, blk in enumerate(range(lo, hi)):
-            rng = block_rng(seed, block_offset + blk)
+            rng = block_rng(seed, blk)
             bits[i] = rng.integers(0, 2, n, dtype=np.uint8)
             noise[i] = rng.standard_normal(3 * n + 12)
         symbols = bpsk_modulate(serialize_codeword(turbo_encode(bits, qpp)))

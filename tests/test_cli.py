@@ -149,6 +149,14 @@ class TestBadOptions:
         assert len(err) == 1 and err[0].startswith("turbosim: ")
         assert "'iter'" in err[0]
 
+    @pytest.mark.parametrize("command", ["ber", "interleave"])
+    def test_config_file_not_utf8(self, tmp_path, capsys, command):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_bytes(b"\xff\xfen\x00=\x004\x000\x00\n\x00")
+        assert main([command, "--config", str(cfg)]) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("turbosim: cannot read config file: ")
+
     def test_config_file_serves_every_subcommand(self, tmp_path):
         cfg = tmp_path / "all.cfg"
         cfg.write_text("n=40\nalg=max-log\niters=1\nsnr-db=10\nblocks=1\n"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lteturbo.maxstar import (METRIC_NEG_INF, CorrectionParams, MaxStarMode,
                               max_star, max_star_reduce)
@@ -69,6 +70,24 @@ class TestProperties:
                 assert np.array_equal(shifted, reference)
             else:
                 np.testing.assert_allclose(shifted, reference, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mode=st.sampled_from(ALL_MODES),
+           ints=st.lists(st.integers(-1024, 1024), min_size=1, max_size=8),
+           shift=st.integers(-2 ** 14, 2 ** 14))
+    def test_shift_equivariance_of_pairs_and_folds(self, mode, ints, shift):
+        # on the 2**-6 grid, |x| <= 16 and |d| <= 256: bit for bit where
+        # the correction is dyadic, else within float addition error
+        x = np.array(ints, dtype=np.float64) / 64
+        d = shift / 64
+        pairs = (max_star(x + d, x[::-1] + d, mode),
+                 max_star(x, x[::-1], mode) + d)
+        folds = (max_star_reduce(x + d, mode), max_star_reduce(x, mode) + d)
+        for shifted, reference in (pairs, folds):
+            if mode in (MaxStarMode.MAX_LOG, MaxStarMode.CONSTANT_LOG):
+                assert np.array_equal(shifted, reference)
+            else:
+                np.testing.assert_allclose(shifted, reference, rtol=0, atol=1e-12)
 
     def test_max_log_positive_homogeneity(self):
         rng = np.random.default_rng(4)

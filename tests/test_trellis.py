@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lteturbo.channel import transmit
 from lteturbo.maxstar import MaxStarMode
@@ -107,6 +108,20 @@ class TestRscEncode:
             pb = rsc_encode(b).parity
             pab = rsc_encode(a ^ b).parity
             assert np.array_equal(pab, pa ^ pb)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair=st.integers(1, 48).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, 1), min_size=n, max_size=n),
+        st.lists(st.integers(0, 1), min_size=n, max_size=n))))
+    def test_encoder_is_linear_over_gf2(self, pair):
+        # the code, tail included, is linear: the encoding of a ^ b is the
+        # XOR of the two reference encodings, and the encoder matches it
+        a, b = (np.array(v, dtype=np.uint8) for v in pair)
+        ref_a, ref_b = ref_rsc_encode(a.tolist()), ref_rsc_encode(b.tolist())
+        out = rsc_encode(a ^ b)
+        for got, wa, wb in zip((out.parity, out.tail_info, out.tail_parity),
+                               ref_a[:3], ref_b[:3]):
+            assert got.tolist() == (np.array(wa) ^ np.array(wb)).tolist()
 
     def test_termination_for_random_inputs(self):
         rng = np.random.default_rng(4)
