@@ -68,9 +68,10 @@ def run_benchmark(config: DecoderConfig, modes, num_blocks: int, seed: int,
 
     Each mode runs `config` with only its mode replaced.  Reports
     measured Mbps per full iteration (the batched decode wall time of
-    run_monte_carlo divided by the iteration count); absolute numbers
-    are machine-dependent, only the relative ordering of the modes is
-    meaningful.
+    run_monte_carlo divided by the iteration count) and the butterfly
+    max* pairs and LLR reductions (see OpCounts) done per microsecond of
+    that time; absolute numbers are machine-dependent, only the relative
+    ordering of the modes is meaningful.
     """
     n, iterations = config.n, config.iterations
     quant = "none" if config.quantization is None else "%d:%d" % config.quantization
@@ -84,9 +85,12 @@ def run_benchmark(config: DecoderConfig, modes, num_blocks: int, seed: int,
         per_iter_s = elapsed / iterations
         mbps = mc.info_bits / per_iter_s / 1e6
         timings[mode.value] = elapsed
+        elapsed_us = elapsed * 1e6
         lines.append(
             f"mode={mode.value:<9} decode_s={elapsed:.3f} "
-            f"mbps_per_iteration={mbps:.2f} ber={mc.ber:.3e}")
+            f"mbps_per_iteration={mbps:.2f} ber={mc.ber:.3e} "
+            f"max_star_pairs_per_us={mc.ops.max_star_pairs / elapsed_us:.3g} "
+            f"llr_reduces_per_us={mc.ops.llr_reduces / elapsed_us:.3g}")
         if mode is modes[0]:
             per_iter_reduces = mc.ops.llr_reduces // (mc.blocks * iterations)
             lines.append(f"llr_reduces per full iteration at n={n}: {per_iter_reduces}")

@@ -179,8 +179,8 @@ def run_monte_carlo(config: DecoderConfig, snr_db: float, num_blocks: int,
                     per_iteration: bool = False) -> McResult:
     """Simulate and decode num_blocks random blocks at one Eb/N0 point.
 
-    Blocks are decoded in batches of batch_size (default: a size that
-    bounds the batched forward-metric store); block b draws from
+    Blocks are decoded in batches of batch_size, at least 1 (None: a
+    size that bounds the batched forward-metric store); block b draws from
     block_rng(seed, b) whatever the batching.  decode_s accumulates
     the wall time of the turbo_decode calls alone; generating and
     encoding the blocks and simulating the channel are not in it.
@@ -190,13 +190,16 @@ def run_monte_carlo(config: DecoderConfig, snr_db: float, num_blocks: int,
         raise ValueError("Monte-Carlo runs need DecoderConfig.qpp")
     n = qpp.n
     sigma2 = ChannelConfig.for_block_size(n, snr_db).noise_variance
-    batch = batch_size or _default_batch_size(n)
+    if batch_size is None:
+        batch_size = _default_batch_size(n)
+    elif batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     total = McResult()
     if per_iteration:
         total.per_iteration_bit_errors = np.zeros(config.iterations, dtype=np.int64)
 
-    for lo in range(0, num_blocks, batch):
-        hi = min(lo + batch, num_blocks)
+    for lo in range(0, num_blocks, batch_size):
+        hi = min(lo + batch_size, num_blocks)
         b = hi - lo
         bits = np.empty((b, n), dtype=np.uint8)
         noise = np.empty((b, 3 * n + 12))

@@ -225,6 +225,16 @@ class TestBench:
         assert "mode=max-log" in text and "mode=log-map" in text
         assert "llr_reduces per full iteration at n=40: 160" in text
         assert "relative decode time" in text
+        mode_lines = [line for line in text.splitlines() if line.startswith("mode=")]
+        assert len(mode_lines) == 2
+        for line in mode_lines:
+            fields = dict(f.split("=") for f in line.split()[1:])
+            pairs = float(fields["max_star_pairs_per_us"])
+            reduces = float(fields["llr_reduces_per_us"])
+            # both over the same decode time; per bit, without windows,
+            # 16 butterfly pairs (8 states, two recursions), 2 reductions
+            assert pairs > 0 and reduces > 0
+            assert pairs / reduces == pytest.approx(8, rel=0.01)
 
     def test_decodes_with_the_window_and_quantization_given(self, tmp_path):
         out = tmp_path / "bench.txt"

@@ -161,3 +161,58 @@ class TestCorrectionParams:
             CorrectionParams(a=0.1)
         with pytest.raises(ValueError):
             CorrectionParams(t_lin=-1.0)
+
+
+def log_map_values(seed, shape, sentinel_frac):
+    """Metrics on the 2**-6 grid within +-32, so ties are common, with a
+    share of them replaced by the sentinels a decode produces: one
+    unreachable state, one plus a finite metric, and two summed."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(-2048, 2049, shape) / 64
+    sentinels = np.array([METRIC_NEG_INF, METRIC_NEG_INF + 3.25, 2 * METRIC_NEG_INF])
+    hit = rng.random(shape) < sentinel_frac
+    values[hit] = rng.choice(sentinels, int(hit.sum()))
+    return values
+
+
+def assert_near_logaddexp(got, want):
+    # 1e-12 on the metric scale; at the sentinel scale (|want| ~ 1e15)
+    # one float spacing is 0.125, so the bound there is relative
+    np.testing.assert_array_less(np.abs(got - want),
+                                 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+class TestLogMapRows:
+    """Log-map pairs and folds: each row of a batched call gives the same
+    bits as the call on that row alone, whatever the batch's size and
+    layout, and stays within 1e-12 of numpy's logaddexp."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 300), k=st.integers(1, 16),
+           seed=st.integers(0, 2 ** 32 - 1),
+           sentinel_frac=st.sampled_from([0.0, 0.25, 1.0]))
+    def test_pairs(self, rows, k, seed, sentinel_frac):
+        # strided x and y, as the decoder's butterfly passes them
+        pairs = log_map_values(seed, (rows, k, 2), sentinel_frac)
+        x, y = pairs[..., 0], pairs[..., 1]
+        batch = max_star(x, y, MaxStarMode.LOG_MAP)
+        for r in range(rows):
+            alone = max_star(x[r].copy(), y[r].copy(), MaxStarMode.LOG_MAP)
+            assert alone.tobytes() == batch[r].tobytes()
+        assert_near_logaddexp(batch, np.logaddexp(x, y))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 300), k=st.integers(1, 16),
+           axis=st.sampled_from([0, 1, -1, -2]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           sentinel_frac=st.sampled_from([0.0, 0.25, 1.0]))
+    def test_folds(self, rows, k, axis, seed, sentinel_frac):
+        values = log_map_values(seed, (rows, k), sentinel_frac)
+        # the batch with each row's fold axis at `axis` (a transposed view
+        # for 0 and -2)
+        batch = max_star_reduce(np.moveaxis(values, 1, axis), MaxStarMode.LOG_MAP,
+                                axis=axis)
+        for r in range(rows):
+            alone = max_star_reduce(values[r], MaxStarMode.LOG_MAP)
+            assert np.float64(alone).tobytes() == batch[r].tobytes()
+        assert_near_logaddexp(batch, np.logaddexp.reduce(values, axis=-1))

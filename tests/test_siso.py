@@ -333,7 +333,9 @@ def windowed_case(draw):
 
 class TestWindowReference:
     """The lockstep lanes against a decoder that runs one window after
-    another (tests/oracles.py), bit for bit on dyadic inputs."""
+    another (tests/oracles.py), bit for bit on dyadic inputs.  Log-map
+    is held to 1e-9: the oracle's max* is libm's scalar exp and log1p,
+    the decoder's numpy's vectorised ones, and the two round apart."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=windowed_case(), mode=st.sampled_from(ALL_MODES),
@@ -351,8 +353,13 @@ class TestWindowReference:
             want = window_reference_llrs(
                 inp.lu[i].tolist(), inp.lc2[i].tolist(), *tail, mode.value,
                 window, acq, normalize_metrics, p.c, p.t, p.a, p.t_lin)
-            assert res.llr_out[i].tobytes() == want.tobytes()
-            assert res.extrinsic[i].tobytes() == (want - inp.lu[i]).tobytes()
+            if mode is MaxStarMode.LOG_MAP:
+                np.testing.assert_allclose(res.llr_out[i], want, rtol=0, atol=1e-9)
+                np.testing.assert_allclose(res.extrinsic[i], want - inp.lu[i],
+                                           rtol=0, atol=1e-9)
+            else:
+                assert res.llr_out[i].tobytes() == want.tobytes()
+                assert res.extrinsic[i].tobytes() == (want - inp.lu[i]).tobytes()
 
 
 class TestQuantize:

@@ -154,6 +154,12 @@ class TestMonteCarlo:
                 (whole.blocks, whole.bit_errors, whole.block_errors)
             assert part.ops == whole.ops
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        config = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=2, qpp=QPP40)
+        with pytest.raises(ValueError, match="batch_size"):
+            run_monte_carlo(config, 1.0, 3, seed=5, batch_size=batch_size)
+
     def test_decode_time_is_measured(self):
         config = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=2, qpp=QPP40)
         assert run_monte_carlo(config, 1.0, 3, seed=5).decode_s > 0
