@@ -88,7 +88,7 @@ def run_benchmark(config: DecoderConfig, modes, num_blocks: int, seed: int,
         elapsed_us = elapsed * 1e6
         lines.append(
             f"mode={mode.value:<9} decode_s={elapsed:.3f} "
-            f"mbps_per_iteration={mbps:.2f} ber={mc.ber:.3e} "
+            f"mbps_per_iteration={mbps:#.4g} ber={mc.ber:.3e} "
             f"max_star_pairs_per_us={mc.ops.max_star_pairs / elapsed_us:.3g} "
             f"llr_reduces_per_us={mc.ops.llr_reduces / elapsed_us:.3g}")
         if mode is modes[0]:

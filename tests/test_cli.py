@@ -229,6 +229,11 @@ class TestBench:
         assert len(mode_lines) == 2
         for line in mode_lines:
             fields = dict(f.split("=") for f in line.split()[1:])
+            # four significant digits, so small runs still compare modes
+            mbps = fields["mbps_per_iteration"]
+            assert float(mbps) > 0
+            mantissa = mbps.lower().split("e")[0].replace(".", "").lstrip("0")
+            assert len(mantissa) >= 3
             pairs = float(fields["max_star_pairs_per_us"])
             reduces = float(fields["llr_reduces_per_us"])
             # both over the same decode time; per bit, without windows,

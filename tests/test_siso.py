@@ -261,6 +261,18 @@ class TestSisoDecode:
         assert log[0].stored_values_per_block == 7 * 48
         assert res.llr_out.shape == (40,)
 
+    def test_metric_store_is_stage_major(self):
+        # slabs first, then the batch axes: one contiguous slab per step
+        rng = np.random.default_rng(25)
+        lu, lc2 = rng.normal(0, 3, (2, 2, 3, 40))
+        with track_metric_allocations() as log:
+            res = siso_decode(SisoInput(lu=lu, lc2=lc2),
+                              config_for(MaxStarMode.MAX_LOG, window_len=16))
+        assert len(log) == 1
+        assert log[0].data.shape == (48, 2, 3, 7)
+        assert log[0].stored_values_per_block == 7 * 48
+        assert res.llr_out.shape == (2, 3, 40)
+
 
 @st.composite
 def dyadic_siso_inputs(draw, batch=()):
@@ -312,23 +324,48 @@ class TestStageStepProperties:
 
 
 @st.composite
-def windowed_case(draw):
-    """(window_len, acquisition_len, batch-2 input) with n not a multiple
-    of window_len and an acquisition of 0, shorter than a window, or
-    longer (spanning several lanes)."""
+def windowed_case(draw, batch=(2,)):
+    """(window_len, acquisition_len, input of the given batch shape) with
+    n not a multiple of window_len and an acquisition of 0, shorter than
+    a window, or longer (spanning several lanes)."""
     window = draw(st.integers(2, 8))
     n = window * draw(st.integers(0, 4)) + draw(st.integers(1, window - 1))
     acq = draw(st.one_of(st.just(0), st.integers(1, window - 1),
                          st.integers(window + 1, 3 * window)))
 
     def stream(length):
-        ints = draw(st.lists(st.integers(-1024, 1024),
-                             min_size=2 * length, max_size=2 * length))
-        return np.array(ints, dtype=np.float64).reshape(2, length) / 64.0
+        shape = batch + (length,)
+        size = int(np.prod(shape))
+        ints = draw(st.lists(st.integers(-1024, 1024), min_size=size, max_size=size))
+        return np.array(ints, dtype=np.float64).reshape(shape) / 64.0
 
     lu, lc2 = stream(n), stream(n)
     tail = {} if draw(st.booleans()) else dict(tail_lu=stream(3), tail_lc2=stream(3))
     return window, acq, SisoInput(lu=lu, lc2=lc2, **tail)
+
+
+class TestStageMajorLayout:
+    """The decoder transposes a batch into stage-major slabs and back;
+    every block must come out where it went in, with the bits it has
+    when decoded alone."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=windowed_case(batch=(2, 3)), windowed=st.booleans(),
+           mode=st.sampled_from(ALL_MODES), normalize_metrics=st.booleans())
+    def test_2d_batch_equals_each_block_decoded_alone(self, case, windowed, mode,
+                                                      normalize_metrics):
+        window, acq, inp = case
+        cfg = config_for(mode, window_len=window if windowed else None,
+                         acquisition_len=acq)
+        batch = siso_decode(inp, cfg, normalize_metrics=normalize_metrics)
+        assert batch.llr_out.shape == batch.extrinsic.shape == (2, 3, inp.n)
+        for i in np.ndindex(2, 3):
+            tail = {} if inp.tail_lu is None else dict(
+                tail_lu=inp.tail_lu[i], tail_lc2=inp.tail_lc2[i])
+            one = siso_decode(SisoInput(lu=inp.lu[i], lc2=inp.lc2[i], **tail), cfg,
+                              normalize_metrics=normalize_metrics)
+            assert one.llr_out.tobytes() == batch.llr_out[i].tobytes()
+            assert one.extrinsic.tobytes() == batch.extrinsic[i].tobytes()
 
 
 class TestWindowReference:
