@@ -13,9 +13,9 @@ from .maxstar import (DEFAULT_CORRECTION, METRIC_NEG_INF, CorrectionParams,
                       MaxStarMode, max_star, max_star_reduce)
 from .qpp import (QppParams, block_sizes, inverse_permutation,
                   params_for_block_size, permutation, qpp_index)
-from .siso import (MetricMatrix, OpCounts, SisoInput, SisoResult,
+from .siso import (MetricMatrix, OpCounts, SisoInput, SisoResult, StageTimes,
                    compute_branch_metrics, quantize_llrs, siso_decode,
-                   track_metric_allocations)
+                   track_metric_allocations, track_stage_times)
 from .trellis import (CodeWord, RscCodeword, TerminationBits, TrellisEdge,
                       TrellisSpec, lte_trellis, rsc_encode, turbo_encode)
 from .turbo import (DecodeResult, DecoderConfig, McResult, ber_vs_iterations,
@@ -30,9 +30,9 @@ __all__ = [
     "max_star", "max_star_reduce",
     "QppParams", "block_sizes", "inverse_permutation", "params_for_block_size",
     "permutation", "qpp_index",
-    "MetricMatrix", "OpCounts", "SisoInput", "SisoResult",
+    "MetricMatrix", "OpCounts", "SisoInput", "SisoResult", "StageTimes",
     "compute_branch_metrics", "quantize_llrs", "siso_decode",
-    "track_metric_allocations",
+    "track_metric_allocations", "track_stage_times",
     "CodeWord", "RscCodeword", "TerminationBits", "TrellisEdge", "TrellisSpec",
     "lte_trellis", "rsc_encode", "turbo_encode",
     "DecodeResult", "DecoderConfig", "McResult", "ber_vs_iterations",

@@ -17,8 +17,8 @@ Exit codes (each error prints one `turbosim:` line on stderr):
   4  malformed SNR point or range: not a number, not finite, beyond
      +-1000 dB, a range of more than 10000 points, or (bench) more
      than one point
-  5  unwritable output path, or a config file that cannot be read or
-     is not UTF-8 text
+  5  unwritable output path (found before any block is decoded), or a
+     config file that cannot be read or is not UTF-8 text
   6  bad option value: unknown --alg, malformed --quant, --iters < 1,
      --window-len < 1, --acq-len < 0, --blocks < 1, --seed outside
      [0, 2**64), a config-file value of the wrong type, or a
@@ -217,9 +217,10 @@ def _cmd_ber(opts):
         raise _CliError(EXIT_BAD_OPTION, str(exc)) from None
     config = _decoder_config(opts, mode)
     snr_points = _parse_snr_range(opts["snr_db"])
-    results = run_ber_sweep(config, snr_points, opts["blocks"], opts["seed"])
     digest = config_digest(config, opts["blocks"], opts["seed"], snr_points)
+    # opened first: an unwritable path fails before any block is decoded
     with _open_out(opts["out"]) as fh:
+        results = run_ber_sweep(config, snr_points, opts["blocks"], opts["seed"])
         write_ber_csv(fh, config, snr_points, results, opts["seed"], digest)
     return 0
 
@@ -234,8 +235,8 @@ def _cmd_bench(opts):
         raise _CliError(EXIT_BAD_OPTION, f"no algorithm in --alg {opts['alg']!r}")
     config = _decoder_config(opts, modes[0])
     snr = _parse_snr_range(opts["snr_db"], max_points=1)[0]
-    lines = run_benchmark(config, modes, opts["blocks"], opts["seed"], snr)
     with _open_out(opts["out"]) as fh:
+        lines = run_benchmark(config, modes, opts["blocks"], opts["seed"], snr)
         fh.write("\n".join(lines) + "\n")
     return 0
 

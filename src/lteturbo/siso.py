@@ -25,13 +25,19 @@ cost-saving conventions throughout:
   LLR output -- is stage-major: stage k = w*L + j (lane w, window
   length L) of block b is row b of slab j*lanes + w, and the lane rows
   are ordered (w, b).  A forward step then reads and writes one
-  contiguous (blocks, .) slab, and a lane step one contiguous
-  (lanes*blocks, .) slab, where a block-major (blocks, n, .) layout
-  would read a column whose rows lie n*32 bytes apart, each on its own
-  page at n=1024.  The 16-edge gather of the LLR output costs about
-  14 us from such a column of 256 rows against 2 us from a slab, and
-  234 us against 20 us at 4032 lanes.  Inputs are transposed into the
+  contiguous slab of blocks rows, and a lane step one of lanes*blocks
+  rows, where a block-major (blocks, n, .) layout would read a column
+  whose rows lie n*32 bytes apart.  Inputs are transposed into the
   layout once and the LLRs back once per call.
+
+  Within a slab the registers are state-major: alpha and beta are
+  (8, rows), the LLR edge values (16, rows) and a stage's branch
+  metrics (4, rows), from a (L, 4, lanes, blocks) table.  Each gather
+  of the wiring tables then copies whole rows, the two candidates of
+  a butterfly are contiguous (8, rows) halves, and each LLR fold
+  reduces a contiguous (8, rows) half over axis 0.  Only the forward
+  store keeps the state axis last, (stages,) + batch + (7,): it is
+  written as alpha[1:].T and read back transposed.
 
 * Boundaries.  The forward recursion starts from the known state 0.  The
   backward recursion starts from state 0 at the end of the tail section
@@ -61,6 +67,8 @@ times the per-block counts).
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,9 +76,10 @@ from .maxstar import METRIC_NEG_INF, MaxStarMode, max_star, max_star_reduce
 from .trellis import lte_trellis
 
 _TRELLIS = lte_trellis()
-# (source states, branch-metric indices) wiring of each recursion direction
-_FWD = (_TRELLIS.fwd_prev, _TRELLIS.fwd_gamma_idx)
-_BWD = (_TRELLIS.bwd_next, _TRELLIS.bwd_gamma_idx)
+# (source states, branch-metric indices) wiring of each recursion
+# direction, (2, 8): row i holds each output state's i-th incoming edge
+_FWD = (_TRELLIS.fwd_prev.T.copy(), _TRELLIS.fwd_gamma_idx.T.copy())
+_BWD = (_TRELLIS.bwd_next.T.copy(), _TRELLIS.bwd_gamma_idx.T.copy())
 # The 16 edges, the eight u=0 edges first (stable: each set keeps its
 # order), so each LLR fold reads a view of one half, not a gathered copy.
 _EDGE_START, _EDGE_END, _EDGE_GAMMA = (
@@ -121,44 +130,61 @@ class OpCounts:
         return dict(vars(self))
 
 
-def compute_branch_metrics(lu, lc2) -> np.ndarray:
+def compute_branch_metrics(lu, lc2, axis: int = -1) -> np.ndarray:
     """Branch-metric table [g1, g2, -g2, -g1] of one stage or a whole block.
 
-    g1 = lu + lc2 and g2 = lc2 - lu; the (..., 4) table is indexed by the
-    trellis wiring tables (fwd_gamma_idx, bwd_gamma_idx, edge_gamma_idx).
+    g1 = lu + lc2 and g2 = lc2 - lu; the table's 4-entry axis is `axis`
+    of the result (last by default), indexed by the trellis wiring
+    tables (fwd_gamma_idx, bwd_gamma_idx, edge_gamma_idx).
     """
     lu = np.asarray(lu, dtype=np.float64)
     lc2 = np.asarray(lc2, dtype=np.float64)
+    shape = np.broadcast_shapes(lu.shape, lc2.shape)
+    axis %= len(shape) + 1
     # written in place: no block-sized temporaries besides the table
-    table = np.empty(np.broadcast_shapes(lu.shape, lc2.shape) + (4,))
-    np.add(lu, lc2, out=table[..., 0])
-    np.subtract(lc2, lu, out=table[..., 1])
-    np.negative(table[..., 1], out=table[..., 2])
-    np.negative(table[..., 0], out=table[..., 3])
+    table = np.empty(shape[:axis] + (4,) + shape[axis:])
+    g = np.moveaxis(table, axis, 0)   # g[i, ...] is an array, even 0-d
+    np.add(lu, lc2, out=g[0, ...])
+    np.subtract(lc2, lu, out=g[1, ...])
+    np.negative(g[1, ...], out=g[2, ...])
+    np.negative(g[0, ...], out=g[3, ...])
     return table
 
 
 def _kernel(metrics, gamma_table, wiring, mode, params, normalize_metrics):
     """The stage step all recursions share: 8 two-way add-max* updates.
 
-    metrics (..., 8) and gamma_table (..., 4) in, next metrics (..., 8)
-    out.  wiring is _FWD or _BWD: per output state, its two source states
-    and their branch-metric indices.  With normalize_metrics the state-0
-    metric is subtracted from all eight.
+    metrics (8, ...) and gamma_table (4, ...) in, next metrics (8, ...)
+    out, state-major: each gather copies whole rows, and the two
+    candidate halves are contiguous.  wiring is _FWD or _BWD: per
+    incoming edge and output state, the source state and its
+    branch-metric index.  With normalize_metrics the state-0 metric is
+    subtracted from all eight.
     """
     state_idx, gamma_idx = wiring
-    cand = metrics[..., state_idx] + gamma_table[..., gamma_idx]
-    out = max_star(cand[..., 0], cand[..., 1], mode, params)
-    return out - out[..., 0:1] if normalize_metrics else out
+    cand = metrics.take(state_idx, axis=0)   # a third of fancy indexing's call cost
+    cand += gamma_table.take(gamma_idx, axis=0)
+    out = max_star(cand[0], cand[1], mode, params)
+    return out - out[0] if normalize_metrics else out
 
 
 # ---------------------------------------------------------------------------
-# forward-metric storage, instrumented so tests can audit peak usage
+# opt-in records, kept only inside their context managers, so tests and
+# benchmarks can audit peak storage and loop times
 
-_allocation_log: list | None = None
+_records: dict = {"allocations": None, "stage_times": None}
 
 
 @contextmanager
+def _recording(kind: str):
+    prev = _records[kind]
+    _records[kind] = log = []
+    try:
+        yield log
+    finally:
+        _records[kind] = prev
+
+
 def track_metric_allocations():
     """Collect every MetricMatrix allocated inside the context.
 
@@ -166,13 +192,29 @@ def track_metric_allocations():
     add up to the peak stage-metric storage of a decode (the backward
     recursion allocates no per-stage storage, only 8-slot registers).
     """
-    global _allocation_log
-    prev = _allocation_log
-    _allocation_log = log = []
-    try:
-        yield log
-    finally:
-        _allocation_log = prev
+    return _recording("allocations")
+
+
+class StageTimes(NamedTuple):   # a frozen dataclass costs 0.3 ms of import
+    """Wall seconds of one siso_decode call's three recursion loops.
+
+    forward_s       the forward recursion, with its metric store
+    acquisition_s   the tail boundary and the windows' acquisition steps
+    backward_llr_s  the fused backward recursion and LLR output
+    """
+    forward_s: float
+    acquisition_s: float
+    backward_llr_s: float
+
+
+def track_stage_times():
+    """Collect a StageTimes for every siso_decode call inside the context.
+
+    Yields a list with one entry per call, in call order.  Outside the
+    context a call reads the clock three times and checks once whether
+    to record; nothing is done per stage.
+    """
+    return _recording("stage_times")
 
 
 class MetricMatrix:
@@ -181,15 +223,17 @@ class MetricMatrix:
     data is (stages,) + batch_shape + (7,), stage-major (see the module
     docstring): slab j*lanes + w holds stage w*L + j of every block, so
     each step of the recursions reads or writes one contiguous slab; an
-    unwindowed block's slabs are simply its stages in order.  Holds the
+    unwindowed block's slabs are simply its stages in order.  The state
+    axis stays last: a step writes the (8, rows) register as
+    alpha[1:].T and the backward pass reads it back transposed.  Holds the
     block's stages rounded up to whole windows; the padding stages
     (fewer than one window) count as stored values.
     """
 
     def __init__(self, batch_shape: tuple, stages: int):
         self.data = np.empty((stages,) + batch_shape + (7,))
-        if _allocation_log is not None:
-            _allocation_log.append(self)
+        if _records["allocations"] is not None:
+            _records["allocations"].append(self)
 
     @property
     def stored_values_per_block(self) -> int:
@@ -222,6 +266,8 @@ class SisoInput:
         lc2 = np.asarray(self.lc2, dtype=np.float64)
         if lu.shape != lc2.shape:
             raise ValueError(f"input streams disagree in shape: {lu.shape}, {lc2.shape}")
+        if lu.ndim == 0 or lu.shape[-1] == 0:
+            raise ValueError(f"a block needs at least one stage, got shape {lu.shape}")
         if (self.tail_lu is None) != (self.tail_lc2 is None):
             raise ValueError("a tail needs both tail_lu and tail_lc2, or neither")
         to_check = [lu, lc2]
@@ -257,19 +303,20 @@ class SisoResult:
 
 
 def _tail_boundary(inp: SisoInput, mode, params, normalize_metrics):
-    """Backward metrics at the end of the information section.
+    """Backward metrics (8, blocks) at the end of the information section.
 
     Runs the recursion from state 0 at the end of the tail through the
     three tail stages; with no tail information the boundary is uniform.
     """
-    shape = inp.batch_shape + (8,)
+    blocks = int(np.prod(inp.batch_shape, dtype=np.int64))
     if inp.tail_lu is None:
-        return np.zeros(shape)
-    beta = np.full(shape, METRIC_NEG_INF)
-    beta[..., 0] = 0.0
-    tg = compute_branch_metrics(0.5 * inp.tail_lu, 0.5 * inp.tail_lc2)
+        return np.zeros((8, blocks))
+    beta = np.full((8, blocks), METRIC_NEG_INF)
+    beta[0] = 0.0
+    tg = compute_branch_metrics(0.5 * inp.tail_lu.reshape(blocks, 3).T,
+                                0.5 * inp.tail_lc2.reshape(blocks, 3).T, axis=1)
     for k in range(2, -1, -1):
-        beta = _kernel(beta, tg[..., k, :], _BWD, mode, params, normalize_metrics)
+        beta = _kernel(beta, tg[k], _BWD, mode, params, normalize_metrics)
     return beta
 
 
@@ -331,29 +378,31 @@ def siso_decode(inp: SisoInput, config, *, normalize_metrics: bool = True) -> Si
             blocks, lanes, L).transpose(2, 1, 0)
 
     # half-scale metrics (see module docstring); halving the inputs is
-    # exact and peaks lower in memory than halving the table
+    # exact and peaks lower in memory than halving the table.  The
+    # halved inputs stay expression temporaries, freed before the loops.
     gam = compute_branch_metrics(stage_major(0.5 * inp.lu),
-                                 stage_major(0.5 * inp.lc2))  # (L, lanes, blocks, 4)
+                                 stage_major(0.5 * inp.lc2), axis=1)  # (L, 4, lanes, blocks)
 
     # Forward recursion.  Windows hand alpha across their shared
     # boundaries, so this is one continuous pass whatever the schedule.
+    t_forward = perf_counter()
     store = MetricMatrix(batch, span)
     stored = store.data.reshape(L, lanes, blocks, 7)
     stored[n - (lanes - 1) * L:, -1] = 0.0     # the last lane's padding stages
     alpha0 = None if normalize_metrics else np.zeros((L, lanes, blocks))
-    alpha = np.full((blocks, 8), METRIC_NEG_INF)
-    alpha[:, 0] = 0.0
+    alpha = np.full((8, blocks), METRIC_NEG_INF)
+    alpha[0] = 0.0
     for k in range(n):
         w, j = divmod(k, L)
-        stored[j, w] = alpha[:, 1:]
+        stored[j, w] = alpha[1:].T
         if alpha0 is not None:
-            alpha0[j, w] = alpha[:, 0]
-        alpha = _kernel(alpha, gam[j, w], _FWD, mode, params, normalize_metrics)
+            alpha0[j, w] = alpha[0]
+        alpha = _kernel(alpha, gam[j, :, w], _FWD, mode, params, normalize_metrics)
 
     # Lane rows: row w*blocks + b is lane w of block b, so stage j of
-    # every lane is the contiguous slab [j], and lanes 0..v-1 are its
-    # first v*blocks rows.  Reshaping the contiguous arrays copies nothing.
-    gam_rows = gam.reshape(L, rows, 4)
+    # every lane is slab [j], and lanes 0..v-1 are its first v*blocks
+    # rows.  Reshaping the contiguous arrays copies nothing.
+    gam_rows = gam.reshape(L, 4, rows)
     store_rows = stored.reshape(L, rows, 7)
     alpha0_rows = None if alpha0 is None else alpha0.reshape(L, rows)
     llr = np.empty((L, rows))
@@ -366,29 +415,38 @@ def siso_decode(inp: SisoInput, config, *, normalize_metrics: bool = True) -> Si
         if live == rows:
             return _kernel(beta, gam_rows[c], _BWD, mode, params, normalize_metrics)
         first = d * blocks
-        beta[:live] = _kernel(beta[:live], gam_rows[c, first:first + live], _BWD,
-                              mode, params, normalize_metrics)
+        beta[:, :live] = _kernel(beta[:, :live], gam_rows[c, :, first:first + live],
+                                 _BWD, mode, params, normalize_metrics)
         return beta
 
     # A lane whose acquisition reaches the tail (always so for the last
     # lane) starts from the tail boundary, the others uniform.
+    t_acquisition = perf_counter()
     tail_beta = _tail_boundary(inp, mode, params, normalize_metrics)
-    reaches_tail = np.arange(1, lanes + 1)[:, None, None] * L + acq >= n
-    beta = np.where(reaches_tail, tail_beta.reshape(blocks, 8), 0.0).reshape(rows, 8)
+    reaches_tail = np.arange(1, lanes + 1)[:, None] * L + acq >= n
+    beta = np.where(reaches_tail, tail_beta[:, None], 0.0).reshape(8, rows)
     for j in range(L + A - 1, L - 1, -1):
         beta = backward_step(beta, j)
 
-    alpha_col = np.zeros((rows, 8))
+    t_backward = perf_counter()
+    alpha_col = np.zeros((8, rows))
     # Fused backward/LLR loop: beta holds the stage-(j+1) column when the
     # stage-j LLR is formed, then one more stage step retires it.
     for j in range(L - 1, -1, -1):
         if alpha0_rows is not None:
-            alpha_col[:, 0] = alpha0_rows[j]
-        alpha_col[:, 1:] = store_rows[j]
-        vals = alpha_col[:, _EDGE_START] + gam_rows[j][:, _EDGE_GAMMA] + beta[:, _EDGE_END]
-        llr[j] = (max_star_reduce(vals[:, :8], mode, params)
-                  - max_star_reduce(vals[:, 8:], mode, params))
+            alpha_col[0] = alpha0_rows[j]
+        alpha_col[1:] = store_rows[j].T
+        vals = alpha_col.take(_EDGE_START, axis=0)
+        vals += gam_rows[j].take(_EDGE_GAMMA, axis=0)
+        vals += beta.take(_EDGE_END, axis=0)
+        llr[j] = (max_star_reduce(vals[:8], mode, params, axis=0)
+                  - max_star_reduce(vals[8:], mode, params, axis=0))
         beta = backward_step(beta, j)
+    if _records["stage_times"] is not None:
+        _records["stage_times"].append(StageTimes(
+            forward_s=t_acquisition - t_forward,
+            acquisition_s=t_backward - t_acquisition,
+            backward_llr_s=perf_counter() - t_backward))
 
     # back to block-major, one copy per call
     llr = llr.reshape(L, lanes, blocks).transpose(2, 1, 0).reshape(

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from lteturbo import cli
 from lteturbo.cli import MAX_SNR_POINTS, _CliError, _parse_snr_range, main
 from lteturbo.maxstar import MaxStarMode
 from lteturbo.qpp import params_for_block_size
@@ -83,6 +84,19 @@ class TestBer:
                      "--out", str(out)])
         assert code == 5
         assert "cannot write" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, runner", [
+        ("ber", "run_ber_sweep"), ("bench", "run_benchmark")])
+    def test_unwritable_output_fails_before_decoding(self, tmp_path, capsys,
+                                                     monkeypatch, command, runner):
+        def entered(*args, **kwargs):
+            raise AssertionError(f"{runner} ran before the output was checked")
+        monkeypatch.setattr(cli, runner, entered)
+        out = tmp_path / "missing" / "out.csv"
+        assert main([command, "--n", "40", "--iters", "1", "--blocks", "1",
+                     "--snr-db", "1", "--out", str(out)]) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("turbosim: cannot write")
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "sim.cfg"

@@ -156,6 +156,8 @@ class TestCorrectionParams:
         with pytest.raises(ValueError):
             CorrectionParams(c=-0.1)
         with pytest.raises(ValueError):
+            CorrectionParams(c=math.inf)
+        with pytest.raises(ValueError):
             CorrectionParams(t=0.0)
         with pytest.raises(ValueError):
             CorrectionParams(a=0.1)
@@ -216,3 +218,54 @@ class TestLogMapRows:
             alone = max_star_reduce(values[r], MaxStarMode.LOG_MAP)
             assert np.float64(alone).tobytes() == batch[r].tobytes()
         assert_near_logaddexp(batch, np.logaddexp.reduce(values, axis=-1))
+
+
+def layouts(a):
+    """The values of a (k, rows) as a C-contiguous copy, a transposed
+    (Fortran-ordered) view and a view strided by two, each with the
+    array that owns its memory."""
+    c = a.copy()
+    f = a.T.copy()
+    wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))
+    wide[..., ::2] = a
+    return {"C": (c, c), "transposed": (f.T, f), "strided": (wide[..., ::2], wide)}
+
+
+class TestLayouts:
+    """max_star and max_star_reduce write no input, and give the same
+    bits whatever the memory layout of their operands, 0-d included."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(mode=st.sampled_from(ALL_MODES), rows=st.integers(1, 40),
+           k=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1),
+           sentinel_frac=st.sampled_from([0.0, 0.25]))
+    def test_pairs(self, mode, rows, k, seed, sentinel_frac):
+        x, y = log_map_values(seed, (2, k, rows), sentinel_frac)
+        want = max_star(x, y, mode)
+        for xv, x_owner in layouts(x).values():
+            for yv, y_owner in layouts(y).values():
+                before = x_owner.tobytes(), y_owner.tobytes()
+                got = max_star(xv, yv, mode)
+                assert got.tobytes() == want.tobytes()
+                assert (x_owner.tobytes(), y_owner.tobytes()) == before
+        for i, j in np.ndindex(k, rows):
+            alone = max_star(np.asarray(x[i, j]), np.asarray(y[i, j]), mode)
+            assert np.ndim(alone) == 0
+            assert np.float64(alone).tobytes() == want[i, j].tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(mode=st.sampled_from(ALL_MODES), rows=st.integers(1, 40),
+           k=st.integers(1, 9), axis=st.sampled_from([0, -2]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           sentinel_frac=st.sampled_from([0.0, 0.25]))
+    def test_folds(self, mode, rows, k, axis, seed, sentinel_frac):
+        # the decoder folds (8, rows) edge sets over axis 0
+        values = log_map_values(seed, (k, rows), sentinel_frac)
+        want = [max_star_reduce(values[:, r].copy(), mode) for r in range(rows)]
+        for view, owner in layouts(values).values():
+            before = owner.tobytes()
+            got = max_star_reduce(view, mode, axis=axis)
+            assert owner.tobytes() == before
+            assert got.shape == (rows,)
+            for r in range(rows):
+                assert got[r].tobytes() == np.float64(want[r]).tobytes()

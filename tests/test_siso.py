@@ -6,7 +6,7 @@ from lteturbo.maxstar import (METRIC_NEG_INF, SENTINEL_CEILING,
                               DEFAULT_CORRECTION, MaxStarMode, max_star)
 from lteturbo import siso
 from lteturbo.siso import (SisoInput, compute_branch_metrics, quantize_llrs,
-                           siso_decode, track_metric_allocations)
+                           siso_decode, track_metric_allocations, track_stage_times)
 from lteturbo.trellis import lte_trellis
 from lteturbo.turbo import DecoderConfig
 
@@ -36,6 +36,13 @@ class TestBranchMetrics:
         table = compute_branch_metrics(3.0, 0.0)
         assert np.array_equal(table, [3.0, -3.0, 3.0, -3.0])
         assert compute_branch_metrics(np.zeros((5, 7)), np.zeros((5, 7))).shape == (5, 7, 4)
+
+    def test_table_axis(self):
+        # the decoder's stage-major table puts the 4 entries on axis 1
+        lu, lc2 = np.random.default_rng(26).normal(0, 3, (2, 5, 6, 7))
+        table = compute_branch_metrics(lu, lc2, axis=1)
+        assert table.shape == (5, 4, 6, 7) and table.flags.c_contiguous
+        assert np.array_equal(table, np.moveaxis(compute_branch_metrics(lu, lc2), -1, 1))
 
 
 def stage_step(prev, gamma_table, direction, mode):
@@ -222,6 +229,12 @@ class TestSisoDecode:
         with pytest.raises(ValueError, match="tail"):
             SisoInput(lu=np.zeros(8), lc2=np.zeros(8), tail_lu=np.zeros(4))
 
+    def test_empty_block_rejected(self):
+        with pytest.raises(ValueError, match="stage"):
+            SisoInput(lu=np.zeros((2, 0)), lc2=np.zeros((2, 0)))
+        with pytest.raises(ValueError, match="stage"):
+            SisoInput(lu=np.zeros(()), lc2=np.zeros(()))
+
     def test_tail_needs_both_halves(self):
         # one half alone would decode as unterminated (tail_lc2 only)
         # or with a silent zero parity tail (tail_lu only)
@@ -252,6 +265,18 @@ class TestSisoDecode:
         assert calls["max_star_reduce"] == 2 * w
         # forward n, window w, acquisition acq, tail 3
         assert calls["max_star"] == n + w + acq + 3
+
+    def test_stage_times_are_recorded_per_call(self):
+        inp = random_siso_input(np.random.default_rng(27), 40)
+        cfg = config_for(MaxStarMode.MAX_LOG, window_len=16, acquisition_len=8)
+        with track_stage_times() as log:
+            siso_decode(inp, cfg)
+            siso_decode(inp, cfg)
+        siso_decode(inp, cfg)   # outside the context: not recorded
+        assert len(log) == 2
+        for times in log:
+            spent = [times.forward_s, times.acquisition_s, times.backward_llr_s]
+            assert all(np.isfinite(spent)) and min(spent) >= 0 and sum(spent) > 0
 
     def test_padding_stages_are_reported(self):
         # 40 stages in 16-stage windows: three lanes span 48 stages
