@@ -9,8 +9,7 @@ runs BER sweeps, throughput reports and interleaver dumps.
 from .channel import (ChannelConfig, ChannelLlrs, awgn, block_rng,
                       bpsk_modulate, llr_demap, serialize_codeword,
                       split_llrs, transmit)
-from .maxstar import (DEFAULT_CORRECTION, METRIC_NEG_INF, CorrectionParams,
-                      MaxStarMode, max_star, max_star_reduce)
+from .maxstar import METRIC_NEG_INF, MaxStarMode, max_star, max_star_reduce
 from .qpp import (QppParams, block_sizes, inverse_permutation,
                   params_for_block_size, permutation, qpp_index)
 from .siso import (MetricMatrix, OpCounts, SisoInput, SisoResult, StageTimes,
@@ -26,8 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ChannelConfig", "ChannelLlrs", "awgn", "block_rng", "bpsk_modulate",
     "llr_demap", "serialize_codeword", "split_llrs", "transmit",
-    "DEFAULT_CORRECTION", "METRIC_NEG_INF", "CorrectionParams", "MaxStarMode",
-    "max_star", "max_star_reduce",
+    "METRIC_NEG_INF", "MaxStarMode", "max_star", "max_star_reduce",
     "QppParams", "block_sizes", "inverse_permutation", "params_for_block_size",
     "permutation", "qpp_index",
     "MetricMatrix", "OpCounts", "SisoInput", "SisoResult", "StageTimes",

@@ -19,10 +19,11 @@ Exit codes (each error prints one `turbosim:` line on stderr):
      than one point
   5  unwritable output path (found before any block is decoded), or a
      config file that cannot be read or is not UTF-8 text
-  6  bad option value: unknown --alg, malformed --quant, --iters < 1,
-     --window-len < 1, --acq-len < 0, --blocks < 1, --seed outside
-     [0, 2**64), a config-file value of the wrong type, or a
-     config-file key that no subcommand takes
+  6  bad option value: unknown --alg, (bench) an --alg that names an
+     algorithm twice, malformed --quant, --iters < 1, --window-len < 1,
+     --acq-len < 0, --blocks < 1, --seed outside [0, 2**64), a
+     config-file value of the wrong type, or a config-file key that no
+     subcommand takes
 """
 
 import argparse
@@ -233,6 +234,8 @@ def _cmd_bench(opts):
         raise _CliError(EXIT_BAD_OPTION, str(exc)) from None
     if not modes:
         raise _CliError(EXIT_BAD_OPTION, f"no algorithm in --alg {opts['alg']!r}")
+    if len(set(modes)) < len(modes):
+        raise _CliError(EXIT_BAD_OPTION, f"--alg {opts['alg']!r} names an algorithm twice")
     config = _decoder_config(opts, modes[0])
     snr = _parse_snr_range(opts["snr_db"], max_points=1)[0]
     with _open_out(opts["out"]) as fh:

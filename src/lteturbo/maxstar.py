@@ -5,9 +5,17 @@ max*(x, y) = ln(e^x + e^y) = max(x, y) + ln(1 + e^-|x-y|) is the exact
 approximations, selected by MaxStarMode:
 
   MAX_LOG       no correction, plain max
-  LINEAR_LOG    correction max(0, a * (|x-y| - t_lin)), a < 0
-  CONSTANT_LOG  correction C when |x-y| <= T, else 0
+  LINEAR_LOG    correction max(0, LINEAR_A * (|x-y| - LINEAR_T))
+  CONSTANT_LOG  correction CONSTANT_C when |x-y| <= CONSTANT_T, else 0
   LOG_MAP       exact correction ln(1 + e^-|x-y|)
+
+The correction constants are fixed: CONSTANT_C, CONSTANT_T = 0.5, 1.5
+and LINEAR_A, LINEAR_T = -0.24904, 2.5068, the usual literature
+constants; LINEAR_A and LINEAR_T are those of Valenti & Sun (2001).  No
+clipped-linear correction can track the exact term ln(1 + e^-d) better
+than ~0.0716 worst-case on d in [0, 10] (the family's minimax error).
+These constants are not chosen for that: their worst-case error is
+0.0784, at d = LINEAR_T.
 
 LOG_MAP is computed with numpy's vectorised exp, log1p and log: a pair
 as max(x, y) + ln(1 + e^(min(x, y) - max(x, y))), a reduction as a
@@ -41,14 +49,14 @@ exactly 0.0, and the other argument is returned unchanged.
 """
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
-# Sentinel standing in for -inf on the metric scale.  Anything at or below
-# SENTINEL_CEILING is treated as unreachable by validity checks.
+# Sentinel standing in for -inf on the metric scale.
 METRIC_NEG_INF = -1.0e15
-SENTINEL_CEILING = -1.0e12
+# The fixed correction constants (see the module docstring).
+CONSTANT_C, CONSTANT_T = 0.5, 1.5
+LINEAR_A, LINEAR_T = -0.24904, 2.5068
 
 
 class MaxStarMode(enum.Enum):
@@ -67,40 +75,7 @@ class MaxStarMode(enum.Enum):
                          f"{[m.value for m in cls]}")
 
 
-@dataclass(frozen=True)
-class CorrectionParams:
-    """Constants of the approximate correction terms.
-
-    c, t        constant-log-MAP: add c when |x-y| <= t
-    a, t_lin    linear-log-MAP: add max(0, a * (|x-y| - t_lin))
-
-    The defaults are the usual literature constants; a and t_lin are
-    those of Valenti & Sun (2001).  No clipped-linear correction can
-    track the exact term ln(1 + e^-d) better than ~0.0716 worst-case on
-    d in [0, 10] (the family's minimax error).  The defaults are not
-    chosen for that: their worst-case error is 0.0784, at d = t_lin.
-    """
-    c: float = 0.5
-    t: float = 1.5
-    a: float = -0.24904
-    t_lin: float = 2.5068
-
-    def __post_init__(self):
-        if not 0 <= self.c < np.inf:   # max_star scales a 0/1 mask by c
-            raise ValueError("constant correction c must be finite and >= 0")
-        if self.t <= 0:
-            raise ValueError("constant threshold t must be > 0")
-        if self.a >= 0:
-            raise ValueError("linear slope a must be < 0")
-        if self.t_lin <= 0:
-            raise ValueError("linear threshold t_lin must be > 0")
-
-
-DEFAULT_CORRECTION = CorrectionParams()
-
-
-def max_star(x, y, mode: MaxStarMode = MaxStarMode.LOG_MAP,
-             params: CorrectionParams = DEFAULT_CORRECTION):
+def max_star(x, y, mode: MaxStarMode = MaxStarMode.LOG_MAP):
     """Elementwise max* of two metrics (scalars or broadcastable arrays).
 
     Writes neither input; see the module docstring for the temporaries.
@@ -111,7 +86,7 @@ def max_star(x, y, mode: MaxStarMode = MaxStarMode.LOG_MAP,
     if mode is MaxStarMode.MAX_LOG:
         return m
     if m.ndim == 0:   # numpy scalars take no out=; same steps on one element
-        return max_star(x[None], y[None], mode, params)[0]
+        return max_star(x[None], y[None], mode)[0]
     if mode is MaxStarMode.LOG_MAP:
         t = np.minimum(x, y)
         np.subtract(t, m, out=t)
@@ -122,17 +97,16 @@ def max_star(x, y, mode: MaxStarMode = MaxStarMode.LOG_MAP,
         np.abs(t, out=t)
         if mode is MaxStarMode.CONSTANT_LOG:
             # 1.0 * c or 0.0 * c: c where |x-y| <= T, else 0.0
-            np.less_equal(t, params.t, out=t)
-            np.multiply(t, params.c, out=t)
+            np.less_equal(t, CONSTANT_T, out=t)
+            np.multiply(t, CONSTANT_C, out=t)
         else:
-            np.subtract(t, params.t_lin, out=t)
-            np.multiply(params.a, t, out=t)
+            np.subtract(t, LINEAR_T, out=t)
+            np.multiply(LINEAR_A, t, out=t)
             np.maximum(0.0, t, out=t)
     return np.add(m, t, out=m)
 
 
-def max_star_reduce(values, mode: MaxStarMode = MaxStarMode.LOG_MAP,
-                    params: CorrectionParams = DEFAULT_CORRECTION, axis: int = -1):
+def max_star_reduce(values, mode: MaxStarMode = MaxStarMode.LOG_MAP, axis: int = -1):
     """max* of all values along an axis.
 
     For MAX_LOG the fold equals the plain maximum for any fold order, so
@@ -167,5 +141,5 @@ def max_star_reduce(values, mode: MaxStarMode = MaxStarMode.LOG_MAP,
         return m + np.log(terms[0])
     acc = values[0]
     for v in values[1:]:
-        acc = max_star(acc, v, mode, params)
+        acc = max_star(acc, v, mode)
     return acc

@@ -10,6 +10,7 @@ timings.
 import hashlib
 from dataclasses import replace
 
+from .maxstar import CONSTANT_C, CONSTANT_T, LINEAR_A, LINEAR_T
 from .turbo import DecoderConfig, McResult, run_monte_carlo
 
 
@@ -38,8 +39,8 @@ def config_digest(config: DecoderConfig, num_blocks: int, seed: int,
     canon = (f"n={config.qpp.n};f1={config.qpp.f1};f2={config.qpp.f2};"
              f"mode={config.mode.value};iters={config.iterations};"
              f"window={config.window_len};acq={config.acquisition_len};"
-             f"quant={config.quantization};corr=({config.correction.c},"
-             f"{config.correction.t},{config.correction.a},{config.correction.t_lin});"
+             f"quant={config.quantization};corr=({CONSTANT_C},{CONSTANT_T},"
+             f"{LINEAR_A},{LINEAR_T});"
              f"blocks={num_blocks};seed={seed};"
              f"snr={','.join(repr(float(s)) for s in snr_points)}")
     return hashlib.sha256(canon.encode()).hexdigest()[:16]

@@ -151,7 +151,7 @@ def compute_branch_metrics(lu, lc2, axis: int = -1) -> np.ndarray:
     return table
 
 
-def _kernel(metrics, gamma_table, wiring, mode, params, normalize_metrics):
+def _kernel(metrics, gamma_table, wiring, mode, normalize_metrics):
     """The stage step all recursions share: 8 two-way add-max* updates.
 
     metrics (8, ...) and gamma_table (4, ...) in, next metrics (8, ...)
@@ -164,7 +164,7 @@ def _kernel(metrics, gamma_table, wiring, mode, params, normalize_metrics):
     state_idx, gamma_idx = wiring
     cand = metrics.take(state_idx, axis=0)   # a third of fancy indexing's call cost
     cand += gamma_table.take(gamma_idx, axis=0)
-    out = max_star(cand[0], cand[1], mode, params)
+    out = max_star(cand[0], cand[1], mode)
     return out - out[0] if normalize_metrics else out
 
 
@@ -302,7 +302,7 @@ class SisoResult:
     ops: OpCounts
 
 
-def _tail_boundary(inp: SisoInput, mode, params, normalize_metrics):
+def _tail_boundary(inp: SisoInput, mode, normalize_metrics):
     """Backward metrics (8, blocks) at the end of the information section.
 
     Runs the recursion from state 0 at the end of the tail through the
@@ -316,7 +316,7 @@ def _tail_boundary(inp: SisoInput, mode, params, normalize_metrics):
     tg = compute_branch_metrics(0.5 * inp.tail_lu.reshape(blocks, 3).T,
                                 0.5 * inp.tail_lc2.reshape(blocks, 3).T, axis=1)
     for k in range(2, -1, -1):
-        beta = _kernel(beta, tg[k], _BWD, mode, params, normalize_metrics)
+        beta = _kernel(beta, tg[k], _BWD, mode, normalize_metrics)
     return beta
 
 
@@ -344,7 +344,7 @@ def siso_decode(inp: SisoInput, config, *, normalize_metrics: bool = True) -> Si
     ----------
     inp : SisoInput
     config : DecoderConfig
-        Only mode, correction, window_len and acquisition_len are read.
+        Only mode, window_len and acquisition_len are read.
     normalize_metrics : bool
         Debug toggle.  When False the per-stage state-0 subtraction is
         skipped; output LLRs are unchanged up to max* shift equivariance
@@ -359,7 +359,7 @@ def siso_decode(inp: SisoInput, config, *, normalize_metrics: bool = True) -> Si
         reduction over the eight u=-1 edges of alpha + gamma + beta at
         stage k; extrinsic = llr_out - lu.
     """
-    mode, params = config.mode, config.correction
+    mode = config.mode
     n = inp.n
     batch = inp.batch_shape
     blocks = int(np.prod(batch, dtype=np.int64))
@@ -367,7 +367,7 @@ def siso_decode(inp: SisoInput, config, *, normalize_metrics: bool = True) -> Si
     L = n if config.window_len is None else min(config.window_len, n)
     span = lanes * L            # n plus fewer than L padding stages
     rows = blocks * lanes
-    acq = config.acquisition_len
+    acq = min(config.acquisition_len, n)   # no acquisition spans more than the block
     # acquisition stages of each lane: up to acq, cut off by the tail
     lane_acq = [min(acq, max(0, n - (w + 1) * L)) for w in range(lanes)]
     A = max(lane_acq, default=0)
@@ -397,7 +397,7 @@ def siso_decode(inp: SisoInput, config, *, normalize_metrics: bool = True) -> Si
         stored[j, w] = alpha[1:].T
         if alpha0 is not None:
             alpha0[j, w] = alpha[0]
-        alpha = _kernel(alpha, gam[j, :, w], _FWD, mode, params, normalize_metrics)
+        alpha = _kernel(alpha, gam[j, :, w], _FWD, mode, normalize_metrics)
 
     # Lane rows: row w*blocks + b is lane w of block b, so stage j of
     # every lane is slab [j], and lanes 0..v-1 are its first v*blocks
@@ -413,16 +413,16 @@ def siso_decode(inp: SisoInput, config, *, normalize_metrics: bool = True) -> Si
         d, c = divmod(j, L)
         live = -(-(n - j) // L) * blocks
         if live == rows:
-            return _kernel(beta, gam_rows[c], _BWD, mode, params, normalize_metrics)
+            return _kernel(beta, gam_rows[c], _BWD, mode, normalize_metrics)
         first = d * blocks
         beta[:, :live] = _kernel(beta[:, :live], gam_rows[c, :, first:first + live],
-                                 _BWD, mode, params, normalize_metrics)
+                                 _BWD, mode, normalize_metrics)
         return beta
 
     # A lane whose acquisition reaches the tail (always so for the last
     # lane) starts from the tail boundary, the others uniform.
     t_acquisition = perf_counter()
-    tail_beta = _tail_boundary(inp, mode, params, normalize_metrics)
+    tail_beta = _tail_boundary(inp, mode, normalize_metrics)
     reaches_tail = np.arange(1, lanes + 1)[:, None] * L + acq >= n
     beta = np.where(reaches_tail, tail_beta[:, None], 0.0).reshape(8, rows)
     for j in range(L + A - 1, L - 1, -1):
@@ -439,8 +439,8 @@ def siso_decode(inp: SisoInput, config, *, normalize_metrics: bool = True) -> Si
         vals = alpha_col.take(_EDGE_START, axis=0)
         vals += gam_rows[j].take(_EDGE_GAMMA, axis=0)
         vals += beta.take(_EDGE_END, axis=0)
-        llr[j] = (max_star_reduce(vals[:8], mode, params, axis=0)
-                  - max_star_reduce(vals[8:], mode, params, axis=0))
+        llr[j] = (max_star_reduce(vals[:8], mode, axis=0)
+                  - max_star_reduce(vals[8:], mode, axis=0))
         beta = backward_step(beta, j)
     if _records["stage_times"] is not None:
         _records["stage_times"].append(StageTimes(

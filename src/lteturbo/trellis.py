@@ -2,9 +2,11 @@
 
 The constituent encoder is the recursive systematic convolutional (RSC)
 code with feedback polynomial 1 + D^2 + D^3 and feedforward polynomial
-1 + D + D^3 (octal 13/15).  Everything here is derived from a single
-shift-register step function so the encoder and the decoder trellis can
-never drift apart.
+1 + D + D^3 (octal 13/15).  The trellis edges are derived from the
+shift-register step _rsc_step; rsc_encode runs the same register on
+whole bit arrays.  tests/oracles.py's independent ref_rsc_encode ties
+the two together: rsc_encode must match its output, and each of its
+steps must be a trellis edge.
 
 State convention: the three register bits (r1, r2, r3), r1 most recent,
 packed as s = r1*4 + r2*2 + r3.  The encoder starts in state 0 and three

@@ -22,7 +22,7 @@ import numpy as np
 
 from .channel import ChannelConfig, ChannelLlrs, block_rng, bpsk_modulate, \
     llr_demap, serialize_codeword, split_llrs
-from .maxstar import DEFAULT_CORRECTION, CorrectionParams, MaxStarMode
+from .maxstar import MaxStarMode
 from .qpp import QppParams, inverse_permutation, permutation
 from .siso import OpCounts, SisoInput, quantize_llrs, siso_decode
 from .trellis import turbo_encode
@@ -42,7 +42,6 @@ class DecoderConfig:
     mode: MaxStarMode = MaxStarMode.MAX_LOG
     iterations: int = 8
     qpp: QppParams | None = None
-    correction: CorrectionParams = DEFAULT_CORRECTION
     window_len: int | None = None
     acquisition_len: int = 32
     quantization: tuple[int, int] | None = None

@@ -21,7 +21,7 @@ import pytest
 
 from lteturbo.channel import ChannelConfig, awgn, bpsk_modulate, llr_demap
 from lteturbo.cli import main as cli_main
-from lteturbo.maxstar import DEFAULT_CORRECTION, MaxStarMode, max_star
+from lteturbo.maxstar import CONSTANT_C, LINEAR_T, MaxStarMode, max_star
 from lteturbo.qpp import block_sizes, params_for_block_size, qpp_index
 from lteturbo.siso import SisoInput, siso_decode, track_metric_allocations
 from lteturbo.trellis import rsc_encode
@@ -206,7 +206,7 @@ def _linear_family_minimax():
 
 def test_c6_mode_fidelity_constant_correction_bound():
     err = float(_correction_error_grid(MaxStarMode.CONSTANT_LOG)[1].max())
-    bound = max(DEFAULT_CORRECTION.c, math.log(2))
+    bound = max(CONSTANT_C, math.log(2))
     assert err <= bound
     report("C6a constant-mode correction bound", True,
            f"max |correction error| {err:.4f} <= max(C, ln 2) = {bound:.4f}")
@@ -226,11 +226,11 @@ def test_c6_mode_fidelity_linear_correction_bound():
     at = float(d[np.argmax(err)])
     minimax = _linear_family_minimax()
     ratio = worst / minimax
-    at_clip = abs(at - DEFAULT_CORRECTION.t_lin) <= d[1] - d[0]
+    at_clip = abs(at - LINEAR_T) <= d[1] - d[0]
     report("C6b linear-mode correction bound", ratio <= 1.10 and at_clip,
            f"max |correction error| {worst:.4f} at d={at:.4f}, "
            f"{ratio:.3f} x family minimax {minimax:.4f} (required <= 1.10, "
-           f"at t_lin={DEFAULT_CORRECTION.t_lin})")
+           f"at t_lin={LINEAR_T})")
     assert ratio <= 1.10
     assert at_clip
 

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -118,6 +120,35 @@ class TestBer:
         assert main(["ber", "--n", "40", "--snr-db", "1", "--blocks", "2",
                      "--seed", "1", "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("extra, sha256", [
+        ([], "fde9b7c58109e798ed13024189f83a138c52381f3ff28b64be512ef51bc4c59c"),
+        (["--window-len", "16", "--acq-len", "8", "--quant", "6:2"],
+         "16b05dac0c587a8ce3c9711ecd5411f74eae5f86be5d439df4d41c6c6898fe27"),
+    ], ids=["full", "windowed-quantized"])
+    def test_constant_kernel_output_is_pinned(self, tmp_path, extra, sha256):
+        # the whole file, `# config=` digest included, so a change to the
+        # kernel's constants or to the digest's wording shows here
+        out = tmp_path / "ber.csv"
+        assert main(["ber", "--n", "40", "--alg", "constant", "--iters", "4",
+                     "--blocks", "64", "--snr-db", "0:1:2", "--seed", "5",
+                     "--out", str(out)] + extra) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+    def test_acquisition_beyond_the_block_is_the_whole_block(self, tmp_path):
+        # an acquisition longer than the block reaches the tail from every
+        # lane, also at values past int64
+        args = ["ber", "--n", "40", "--blocks", "64", "--snr-db", "0.5",
+                "--window-len", "8"]
+        rows = {}
+        for acq in ("40", str(2 ** 63 - 1), str(2 ** 64)):
+            out = tmp_path / f"acq{len(acq)}.csv"
+            assert main(args + ["--acq-len", acq, "--out", str(out)]) == 0
+            rows[acq] = read_rows(out)[1:]
+        assert rows["40"] == rows[str(2 ** 63 - 1)] == rows[str(2 ** 64)]
+        assert main(["bench", "--n", "40", "--blocks", "2", "--alg", "max-log",
+                     "--window-len", "8", "--acq-len", str(2 ** 64),
+                     "--out", str(tmp_path / "bench.txt")]) == 0
+
 
 BER_40 = ["ber", "--n", "40", "--iters", "1", "--blocks", "1", "--snr-db", "1"]
 
@@ -142,7 +173,7 @@ class TestBadOptions:
 
     @pytest.mark.parametrize("flags", [
         ["--iters", "0"], ["--blocks", "0"], ["--alg", "max-log,nope"],
-        ["--alg", ","],
+        ["--alg", ","], ["--alg", "max-log,log-map, max-log"],
     ], ids=lambda flags: " ".join(flags))
     def test_bench_exit_code(self, capsys, flags):
         argv = ["bench", "--n", "40", "--iters", "1", "--blocks", "1"] + flags
@@ -183,6 +214,16 @@ class TestBadOptions:
     def test_threads_env_is_not_read(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TURBOSIM_THREADS", "abc")
         assert main(BER_40 + ["--out", str(tmp_path / "ber.csv")]) == 0
+
+
+def test_every_decoder_config_field_is_a_flag():
+    # a DecoderConfig field that no turbosim flag sets is a knob no run uses
+    opts = {"n": 48, "iters": 3, "blocks": 1, "seed": 0, "window_len": 8,
+            "acq_len": 4, "quant": "6:2"}
+    config = cli._decoder_config(opts, MaxStarMode.LOG_MAP)
+    default = DecoderConfig()
+    for field in dataclasses.fields(DecoderConfig):
+        assert getattr(config, field.name) != getattr(default, field.name), field.name
 
 
 class TestSnrBounds:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lteturbo.maxstar import (METRIC_NEG_INF, CorrectionParams, MaxStarMode,
-                              max_star, max_star_reduce)
+from lteturbo.maxstar import METRIC_NEG_INF, MaxStarMode, max_star, max_star_reduce
 
 ALL_MODES = list(MaxStarMode)
 
@@ -18,14 +17,13 @@ class TestPointValues:
         assert max_star(0.0, 0.0, MaxStarMode.LOG_MAP) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_constant_mode(self):
-        p = CorrectionParams(c=0.5, t=1.5)
-        assert max_star(0.0, 1.0, MaxStarMode.CONSTANT_LOG, p) == 1.5
-        assert max_star(0.0, 2.0, MaxStarMode.CONSTANT_LOG, p) == 2.0
+        # C = 0.5 within T = 1.5, else nothing
+        assert max_star(0.0, 1.0, MaxStarMode.CONSTANT_LOG) == 1.5
+        assert max_star(0.0, 2.0, MaxStarMode.CONSTANT_LOG) == 2.0
 
     def test_linear_mode(self):
         # -0.24904 * (0 - 2.5068) evaluated directly
-        p = CorrectionParams(a=-0.24904, t_lin=2.5068)
-        assert max_star(0.0, 0.0, MaxStarMode.LINEAR_LOG, p) == pytest.approx(
+        assert max_star(0.0, 0.0, MaxStarMode.LINEAR_LOG) == pytest.approx(
             0.624293472, abs=1e-9)
 
     def test_log_map_matches_closed_form(self):
@@ -143,26 +141,11 @@ class TestReduce:
     def test_left_fold_order_for_approximate_modes(self):
         # constant-mode corrections are not associative; the contract is a
         # left fold, checked against a hand-rolled fold
-        p = CorrectionParams()
         v = [0.0, 0.4, -0.2, 5.0]
         acc = v[0]
         for item in v[1:]:
-            acc = max_star(acc, item, MaxStarMode.CONSTANT_LOG, p)
-        assert max_star_reduce(v, MaxStarMode.CONSTANT_LOG, p) == acc
-
-
-class TestCorrectionParams:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CorrectionParams(c=-0.1)
-        with pytest.raises(ValueError):
-            CorrectionParams(c=math.inf)
-        with pytest.raises(ValueError):
-            CorrectionParams(t=0.0)
-        with pytest.raises(ValueError):
-            CorrectionParams(a=0.1)
-        with pytest.raises(ValueError):
-            CorrectionParams(t_lin=-1.0)
+            acc = max_star(acc, item, MaxStarMode.CONSTANT_LOG)
+        assert max_star_reduce(v, MaxStarMode.CONSTANT_LOG) == acc
 
 
 def log_map_values(seed, shape, sentinel_frac):

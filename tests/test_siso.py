@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lteturbo.maxstar import (METRIC_NEG_INF, SENTINEL_CEILING,
-                              DEFAULT_CORRECTION, MaxStarMode, max_star)
+from lteturbo.maxstar import (CONSTANT_C, CONSTANT_T, LINEAR_A, LINEAR_T,
+                              METRIC_NEG_INF, MaxStarMode, max_star)
 from lteturbo import siso
 from lteturbo.siso import (SisoInput, compute_branch_metrics, quantize_llrs,
                            siso_decode, track_metric_allocations, track_stage_times)
@@ -48,8 +48,7 @@ class TestBranchMetrics:
 def stage_step(prev, gamma_table, direction, mode):
     """One unnormalized stage of the decoder's forward or backward recursion."""
     wiring = {"forward": siso._FWD, "backward": siso._BWD}[direction]
-    return siso._kernel(prev, gamma_table, wiring, mode, DEFAULT_CORRECTION,
-                        normalize_metrics=False)
+    return siso._kernel(prev, gamma_table, wiring, mode, normalize_metrics=False)
 
 
 class TestButterflyUpdate:
@@ -72,7 +71,7 @@ class TestButterflyUpdate:
             if s in (0, succ1):
                 assert out[s] == 0.0
             else:
-                assert out[s] <= SENTINEL_CEILING
+                assert out[s] <= -1.0e12   # still at the sentinel
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     @pytest.mark.parametrize("direction", ["forward", "backward"])
@@ -81,7 +80,7 @@ class TestButterflyUpdate:
         # seeded by parametrize position, the same in every process
         seed = 2 * ALL_MODES.index(mode) + ["forward", "backward"].index(direction)
         rng = np.random.default_rng(seed)
-        fn = lambda a, b: max_star(a, b, mode, DEFAULT_CORRECTION)
+        fn = lambda a, b: max_star(a, b, mode)
         for _ in range(300):
             prev = rng.normal(0, 10, 8)
             lu, lc2 = rng.normal(0, 5, 2)
@@ -408,13 +407,13 @@ class TestWindowReference:
         res = siso_decode(inp, config_for(mode, window_len=window,
                                           acquisition_len=acq),
                           normalize_metrics=normalize_metrics)
-        p = DEFAULT_CORRECTION
         for i in range(2):
             tail = ((None, None) if inp.tail_lu is None
                     else (inp.tail_lu[i], inp.tail_lc2[i]))
             want = window_reference_llrs(
                 inp.lu[i].tolist(), inp.lc2[i].tolist(), *tail, mode.value,
-                window, acq, normalize_metrics, p.c, p.t, p.a, p.t_lin)
+                window, acq, normalize_metrics,
+                CONSTANT_C, CONSTANT_T, LINEAR_A, LINEAR_T)
             if mode is MaxStarMode.LOG_MAP:
                 np.testing.assert_allclose(res.llr_out[i], want, rtol=0, atol=1e-9)
                 np.testing.assert_allclose(res.extrinsic[i], want - inp.lu[i],
