@@ -6,9 +6,8 @@ operation-count accounting.  The `turbosim` command line (lteturbo.cli)
 runs BER sweeps, throughput reports and interleaver dumps.
 """
 
-from .channel import (ChannelConfig, ChannelLlrs, awgn, block_rng,
-                      bpsk_modulate, llr_demap, serialize_codeword,
-                      split_llrs, transmit)
+from .channel import (ChannelConfig, ChannelLlrs, block_rng, bpsk_modulate,
+                      llr_demap, serialize_codeword, split_llrs)
 from .maxstar import METRIC_NEG_INF, MaxStarMode, max_star, max_star_reduce
 from .qpp import (QppParams, block_sizes, inverse_permutation,
                   params_for_block_size, permutation, qpp_index)
@@ -18,13 +17,13 @@ from .siso import (MetricMatrix, OpCounts, SisoInput, SisoResult, StageTimes,
 from .trellis import (CodeWord, RscCodeword, TerminationBits, TrellisEdge,
                       TrellisSpec, lte_trellis, rsc_encode, turbo_encode)
 from .turbo import (DecodeResult, DecoderConfig, McResult, ber_vs_iterations,
-                    run_monte_carlo, turbo_decode)
+                    run_monte_carlo, simulate_blocks, turbo_decode)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelConfig", "ChannelLlrs", "awgn", "block_rng", "bpsk_modulate",
-    "llr_demap", "serialize_codeword", "split_llrs", "transmit",
+    "ChannelConfig", "ChannelLlrs", "block_rng", "bpsk_modulate",
+    "llr_demap", "serialize_codeword", "split_llrs",
     "METRIC_NEG_INF", "MaxStarMode", "max_star", "max_star_reduce",
     "QppParams", "block_sizes", "inverse_permutation", "params_for_block_size",
     "permutation", "qpp_index",
@@ -34,5 +33,5 @@ __all__ = [
     "CodeWord", "RscCodeword", "TerminationBits", "TrellisEdge", "TrellisSpec",
     "lte_trellis", "rsc_encode", "turbo_encode",
     "DecodeResult", "DecoderConfig", "McResult", "ber_vs_iterations",
-    "run_monte_carlo", "turbo_decode",
+    "run_monte_carlo", "simulate_blocks", "turbo_decode",
 ]

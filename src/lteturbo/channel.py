@@ -8,15 +8,17 @@ Conventions, fixed so that simulation output is reproducible bit for bit:
   the 12 tail bits are a noticeable fraction of the block.
 * Demapping: L = 2 * r / sigma^2 under L = ln(P(b=0)/P(b=1)).
 * RNG: numpy's Philox counter-based generator.  Block b of a run seeded
-  with s uses Generator(Philox(key=[s, b])) and draws, in order, the n
-  information bits then the 3n+12 noise samples.  Gaussians come from
-  numpy's ziggurat sampler.  Blocks are therefore independent of batch
-  or thread scheduling.
+  with s uses block_rng(s, b) = Generator(Philox(key=[s, b])), both key
+  words in [0, 2**64).  lteturbo.turbo.simulate_blocks is the one
+  per-block recipe: it draws, in order, the n information bits then the
+  3n+12 noise samples.  Gaussians come from numpy's ziggurat sampler.
+  Blocks are therefore independent of batch or thread scheduling.
 * Codeword serialisation order (also the noise-draw order):
   systematic | parity1 | parity2 | tail1 info | tail1 parity
   | tail2 info | tail2 parity.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +33,8 @@ class ChannelConfig:
     code_rate: float
 
     def __post_init__(self):
+        if not math.isfinite(self.ebn0_db):
+            raise ValueError(f"Eb/N0 must be finite, got {self.ebn0_db} dB")
         if self.code_rate <= 0:
             raise ValueError("code rate must be positive")
 
@@ -44,8 +48,19 @@ class ChannelConfig:
         return 1.0 / (2.0 * self.code_rate * 10.0 ** (self.ebn0_db / 10.0))
 
 
+KEY_LIMIT = 2 ** 64  # each Philox key word is a uint64
+
+
+def check_key_word(name: str, value: int) -> None:
+    """Reject a seed or block index that is not a Philox key word."""
+    if not 0 <= value < KEY_LIMIT:
+        raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+
+
 def block_rng(seed: int, block_index: int) -> np.random.Generator:
     """The dedicated RNG stream of one block: Philox keyed by (seed, block)."""
+    check_key_word("seed", seed)
+    check_key_word("block index", block_index)
     return np.random.Generator(np.random.Philox(key=np.array(
         [seed, block_index], dtype=np.uint64)))
 
@@ -53,20 +68,6 @@ def block_rng(seed: int, block_index: int) -> np.random.Generator:
 def bpsk_modulate(bits) -> np.ndarray:
     """Map bits to unit-energy antipodal symbols, 0 -> +1, 1 -> -1."""
     return 1.0 - 2.0 * np.asarray(bits, dtype=np.float64)
-
-
-def awgn(symbols, noise_variance: float, seed) -> np.ndarray:
-    """Add white Gaussian noise of the given variance.
-
-    seed may be an int (opens a fresh Philox stream) or an existing
-    numpy Generator (draws from it in place).
-    """
-    if noise_variance <= 0:
-        raise ValueError(f"noise variance must be positive, got {noise_variance}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.Generator(
-        np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    symbols = np.asarray(symbols, dtype=np.float64)
-    return symbols + np.sqrt(noise_variance) * rng.standard_normal(symbols.shape)
 
 
 def llr_demap(received, noise_variance: float) -> np.ndarray:
@@ -118,9 +119,3 @@ def split_llrs(llrs, n: int) -> ChannelLlrs:
         tail1_parity=llrs[..., 3 * n + 3:3 * n + 6],
         tail2_info=llrs[..., 3 * n + 6:3 * n + 9],
         tail2_parity=llrs[..., 3 * n + 9:3 * n + 12])
-
-
-def transmit(cw: CodeWord, noise_variance: float, seed) -> ChannelLlrs:
-    """Modulate a code word, add noise, demap, and split the LLR streams."""
-    rx = awgn(bpsk_modulate(serialize_codeword(cw)), noise_variance, seed)
-    return split_llrs(llr_demap(rx, noise_variance), cw.n)

@@ -15,13 +15,14 @@ All decode entry points accept a leading batch axis on the LLR arrays;
 the Monte-Carlo helper below relies on it.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelConfig, ChannelLlrs, block_rng, bpsk_modulate, \
-    llr_demap, serialize_codeword, split_llrs
+from .channel import KEY_LIMIT, ChannelConfig, ChannelLlrs, block_rng, \
+    bpsk_modulate, check_key_word, llr_demap, serialize_codeword, split_llrs
 from .maxstar import MaxStarMode
 from .qpp import QppParams, inverse_permutation, permutation
 from .siso import OpCounts, SisoInput, quantize_llrs, siso_decode
@@ -148,6 +149,36 @@ def turbo_decode(ch: ChannelLlrs, config: DecoderConfig,
 # its Philox stream provides the information bits and then the channel
 # noise, so results do not depend on batching.
 
+def simulate_blocks(qpp: QppParams, noise_variance: float, seed: int, lo: int,
+                    hi: int) -> tuple[np.ndarray, ChannelLlrs]:
+    """Information bits and channel LLRs of blocks lo..hi-1 of a run.
+
+    The one per-block recipe: block b draws its n information bits and
+    then the 3n+12 Gaussians of its code word from block_rng(seed, b).
+    The bits are turbo encoded and BPSK modulated in serialize_codeword
+    order, the noise scaled by sqrt(noise_variance) is added, and the
+    received values are demapped and split.  Returns bits of shape
+    (hi - lo, n) and the LLRs batched the same way.  Row i is block
+    lo + i, byte for byte the same in any range that holds it.
+    """
+    check_key_word("seed", seed)
+    if not 0 <= lo <= hi <= KEY_LIMIT:
+        raise ValueError(f"need 0 <= lo <= hi <= 2**64, got lo={lo}, hi={hi}")
+    if not 0 < noise_variance < math.inf:
+        raise ValueError(f"noise variance must be positive and finite, "
+                         f"got {noise_variance}")
+    n = qpp.n
+    bits = np.empty((hi - lo, n), dtype=np.uint8)
+    noise = np.empty((hi - lo, 3 * n + 12))
+    for i, blk in enumerate(range(lo, hi)):
+        rng = block_rng(seed, blk)
+        bits[i] = rng.integers(0, 2, n, dtype=np.uint8)
+        noise[i] = rng.standard_normal(3 * n + 12)
+    symbols = bpsk_modulate(serialize_codeword(turbo_encode(bits, qpp)))
+    received = symbols + np.sqrt(noise_variance) * noise
+    return bits, split_llrs(llr_demap(received, noise_variance), n)
+
+
 @dataclass
 class McResult:
     """Error accumulators of a Monte-Carlo run (one SNR point)."""
@@ -178,15 +209,19 @@ def run_monte_carlo(config: DecoderConfig, snr_db: float, num_blocks: int,
                     per_iteration: bool = False) -> McResult:
     """Simulate and decode num_blocks random blocks at one Eb/N0 point.
 
-    Blocks are decoded in batches of batch_size, at least 1 (None: a
-    size that bounds the batched forward-metric store); block b draws from
-    block_rng(seed, b) whatever the batching.  decode_s accumulates
-    the wall time of the turbo_decode calls alone; generating and
-    encoding the blocks and simulating the channel are not in it.
+    Blocks are simulated by simulate_blocks and decoded in batches of
+    batch_size, at least 1 (None: a size that bounds the batched
+    forward-metric store); block b is the same whatever the batching.
+    seed must be in [0, 2**64).  decode_s accumulates the wall time of
+    the turbo_decode calls alone; generating and encoding the blocks and
+    simulating the channel are not in it.
     """
     qpp = config.qpp
     if qpp is None:
         raise ValueError("Monte-Carlo runs need DecoderConfig.qpp")
+    if num_blocks < 0:
+        raise ValueError(f"num_blocks must be >= 0, got {num_blocks}")
+    check_key_word("seed", seed)
     n = qpp.n
     sigma2 = ChannelConfig.for_block_size(n, snr_db).noise_variance
     if batch_size is None:
@@ -200,15 +235,7 @@ def run_monte_carlo(config: DecoderConfig, snr_db: float, num_blocks: int,
     for lo in range(0, num_blocks, batch_size):
         hi = min(lo + batch_size, num_blocks)
         b = hi - lo
-        bits = np.empty((b, n), dtype=np.uint8)
-        noise = np.empty((b, 3 * n + 12))
-        for i, blk in enumerate(range(lo, hi)):
-            rng = block_rng(seed, blk)
-            bits[i] = rng.integers(0, 2, n, dtype=np.uint8)
-            noise[i] = rng.standard_normal(3 * n + 12)
-        symbols = bpsk_modulate(serialize_codeword(turbo_encode(bits, qpp)))
-        ch = split_llrs(llr_demap(symbols + np.sqrt(sigma2) * noise, sigma2), n)
-
+        bits, ch = simulate_blocks(qpp, sigma2, seed, lo, hi)
         start = time.perf_counter()
         result = turbo_decode(ch, config, trace_iterations=per_iteration)
         total.decode_s += time.perf_counter() - start

@@ -19,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from lteturbo.channel import ChannelConfig, awgn, bpsk_modulate, llr_demap
+from lteturbo.channel import ChannelConfig, bpsk_modulate, llr_demap
 from lteturbo.cli import main as cli_main
 from lteturbo.maxstar import CONSTANT_C, LINEAR_T, MaxStarMode, max_star
 from lteturbo.qpp import block_sizes, params_for_block_size, qpp_index
@@ -42,7 +42,9 @@ def _noisy_constituent_input(rng, n, sigma2, dyadic_grid=False):
     bits = rng.integers(0, 2, n, dtype=np.uint8)
     enc = rsc_encode(bits)
     tx = np.concatenate([bits, enc.parity, enc.tail_info, enc.tail_parity])
-    llrs = llr_demap(awgn(bpsk_modulate(tx), sigma2, rng), sigma2)
+    symbols = bpsk_modulate(tx)
+    llrs = llr_demap(symbols + np.sqrt(sigma2) * rng.standard_normal(symbols.shape),
+                     sigma2)
     if dyadic_grid:
         # snap to multiples of 1/64 so that every sum in both the decoder
         # and the oracle is exact in float64; "exactly equal" is then a

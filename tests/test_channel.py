@@ -1,11 +1,33 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lteturbo.channel import (ChannelConfig, awgn, block_rng, bpsk_modulate,
-                              llr_demap, serialize_codeword, split_llrs,
-                              transmit)
+from lteturbo.channel import (ChannelConfig, block_rng, bpsk_modulate,
+                              llr_demap, serialize_codeword, split_llrs)
 from lteturbo.qpp import params_for_block_size
 from lteturbo.trellis import turbo_encode
+from lteturbo.turbo import simulate_blocks
+
+QPP40 = params_for_block_size(40)
+
+
+def sent_symbols(bits, qpp):
+    """The BPSK symbols of each block's code word, in transmission order."""
+    return bpsk_modulate(serialize_codeword(turbo_encode(bits, qpp)))
+
+
+def received(ch, noise_variance):
+    """Undo the demapper: each block's received values, in transmission order."""
+    streams = [getattr(ch, f.name) for f in dataclasses.fields(ch)]
+    return np.concatenate(streams, axis=-1) * (noise_variance / 2)
+
+
+def simulated_noise(qpp, noise_variance, seed, blocks):
+    bits, ch = simulate_blocks(qpp, noise_variance, seed, 0, blocks)
+    return received(ch, noise_variance) - sent_symbols(bits, qpp)
 
 
 class TestModulation:
@@ -29,35 +51,53 @@ class TestChannelConfig:
         with pytest.raises(ValueError):
             ChannelConfig(ebn0_db=0.0, code_rate=0.0)
 
+    @pytest.mark.parametrize("ebn0_db", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_ebn0(self, ebn0_db):
+        with pytest.raises(ValueError, match="Eb/N0 must be finite"):
+            ChannelConfig.for_block_size(40, ebn0_db)
+
 
 class TestAwgn:
+    """The additive white Gaussian noise of simulate_blocks."""
+
     def test_vanishing_noise(self):
-        symbols = bpsk_modulate(np.tile([0, 1], 50))
-        received = awgn(symbols, 1e-12, seed=1)
-        assert np.abs(received - symbols).max() < 1e-5
+        bits, ch = simulate_blocks(QPP40, 1e-12, 1, 0, 4)
+        assert np.abs(received(ch, 1e-12) - sent_symbols(bits, QPP40)).max() < 1e-5
 
     def test_seed_determinism(self):
-        symbols = np.zeros(1000)
-        assert np.array_equal(awgn(symbols, 1.0, seed=2), awgn(symbols, 1.0, seed=2))
+        a = simulate_blocks(QPP40, 1.0, 2, 0, 8)
+        b = simulate_blocks(QPP40, 1.0, 2, 0, 8)
+        c = simulate_blocks(QPP40, 1.0, 3, 0, 8)
+        assert a[0].tobytes() == b[0].tobytes()
+        assert received(a[1], 1.0).tobytes() == received(b[1], 1.0).tobytes()
+        assert not np.array_equal(received(a[1], 1.0), received(c[1], 1.0))
 
     def test_moments(self):
-        noise = awgn(np.zeros(10**6), 1.0, seed=3)
+        # 55 blocks of 3 * 6144 + 12 samples: just over 10**6
+        noise = simulated_noise(params_for_block_size(6144), 1.0, 3, 55)
         assert abs(noise.mean()) < 0.01
         assert 0.99 <= noise.var() <= 1.01
 
     def test_variance_scaling(self):
-        noise = awgn(np.zeros(10**6), 0.25, seed=4)
+        noise = simulated_noise(params_for_block_size(6144), 0.25, 4, 55)
         assert 0.99 * 0.25 <= noise.var() <= 1.01 * 0.25
 
     def test_rejects_bad_variance(self):
-        with pytest.raises(ValueError):
-            awgn(np.zeros(4), 0.0, seed=0)
+        for noise_variance in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="noise variance"):
+                simulate_blocks(QPP40, noise_variance, 0, 0, 4)
 
-    def test_generator_passthrough(self):
-        rng = block_rng(7, 0)
-        a = awgn(np.zeros(16), 1.0, rng)
-        b = awgn(np.zeros(16), 1.0, block_rng(7, 0))
-        assert np.array_equal(a, b)
+    def test_noise_follows_the_bits_on_the_block_stream(self):
+        # block b: n bits, then 3n + 12 Gaussians, both from block_rng(seed, b)
+        sigma2 = 0.7
+        _, ch = simulate_blocks(QPP40, sigma2, 12, 5, 8)
+        for i, b in enumerate(range(5, 8)):
+            rng = block_rng(12, b)
+            want_bits = rng.integers(0, 2, 40, dtype=np.uint8)
+            rx = sent_symbols(want_bits, QPP40) + np.sqrt(sigma2) * rng.standard_normal(132)
+            want = split_llrs(llr_demap(rx, sigma2), 40)
+            for f in dataclasses.fields(want):
+                assert getattr(ch, f.name)[i].tobytes() == getattr(want, f.name).tobytes()
 
 
 class TestDemap:
@@ -87,6 +127,55 @@ class TestBlockRng:
         assert np.array_equal(block_rng(9, 4).standard_normal(8),
                               block_rng(9, 4).standard_normal(8))
 
+    @pytest.mark.parametrize("key", [(-1, 0), (2 ** 64, 0), (0, -1), (0, 2 ** 64)])
+    def test_rejects_key_words_outside_uint64(self, key):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            block_rng(*key)
+
+
+class TestSimulateBlocks:
+    def test_shapes(self):
+        bits, ch = simulate_blocks(QPP40, 1.0, 7, 3, 6)
+        assert bits.shape == (3, 40) and bits.dtype == np.uint8
+        assert ch.n == 40
+        assert ch.lu.shape == (3, 40) and ch.tail1_info.shape == (3, 3)
+        bits, ch = simulate_blocks(QPP40, 1.0, 7, 6, 6)
+        assert bits.shape == (0, 40) and ch.tail2_parity.shape == (0, 3)
+
+    def test_bits_come_first_on_the_block_stream(self):
+        # perfbench's independent rebuild_block relies on this order
+        bits, _ = simulate_blocks(QPP40, 1.0, 21, 0, 6)
+        for b in range(6):
+            want = block_rng(21, b).integers(0, 2, 40, dtype=np.uint8)
+            assert bits[b].tobytes() == want.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1),
+           noise_variance=st.floats(0.01, 10.0),
+           span=st.integers(0, 63).flatmap(
+               lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, 64))))
+    def test_batch_is_the_row_stack_of_single_blocks(self, seed, noise_variance, span):
+        lo, hi = span
+        bits, ch = simulate_blocks(QPP40, noise_variance, seed, lo, hi)
+        singles = [simulate_blocks(QPP40, noise_variance, seed, b, b + 1)
+                   for b in range(lo, hi)]
+        assert bits.tobytes() == np.concatenate([s[0] for s in singles]).tobytes()
+        for f in dataclasses.fields(ch):
+            stacked = np.concatenate([getattr(s[1], f.name) for s in singles])
+            assert getattr(ch, f.name).tobytes() == stacked.tobytes()
+
+    def test_extreme_keys(self):
+        bits, _ = simulate_blocks(QPP40, 1.0, 2 ** 64 - 1, 2 ** 64 - 1, 2 ** 64)
+        want = block_rng(2 ** 64 - 1, 2 ** 64 - 1).integers(0, 2, 40, dtype=np.uint8)
+        assert bits[0].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed, lo, hi", [
+        (-1, 0, 1), (2 ** 64, 0, 1), (-1, 0, 0), (0, -1, 1), (0, 5, 4),
+        (0, 2 ** 64, 2 ** 64 + 1)])
+    def test_rejects_keys_and_ranges(self, seed, lo, hi):
+        with pytest.raises(ValueError, match=r"2\*\*64"):
+            simulate_blocks(QPP40, 1.0, seed, lo, hi)
+
 
 class TestSerialization:
     def test_split_inverts_serialize(self):
@@ -104,10 +193,3 @@ class TestSerialization:
     def test_split_length_check(self):
         with pytest.raises(ValueError):
             split_llrs(np.zeros(100), 40)
-
-    def test_transmit_shapes(self):
-        qpp = params_for_block_size(40)
-        cw = turbo_encode(np.zeros(40, dtype=np.uint8), qpp)
-        ch = transmit(cw, 1.0, seed=7)
-        assert ch.n == 40
-        assert ch.lu.shape == (40,) and ch.tail1_info.shape == (3,)

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lteturbo.channel import transmit
 from lteturbo.maxstar import MaxStarMode
 from lteturbo.qpp import params_for_block_size, permutation
 from lteturbo.trellis import lte_trellis, rsc_encode, turbo_encode
-from lteturbo.turbo import DecoderConfig, turbo_decode
+from lteturbo.turbo import DecoderConfig, simulate_blocks, turbo_decode
 
 from oracles import ref_rsc_encode
 
@@ -162,8 +161,6 @@ class TestTurboEncode:
 
     def test_high_snr_round_trip(self):
         qpp = params_for_block_size(40)
-        rng = np.random.default_rng(7)
-        bits = rng.integers(0, 2, 40, dtype=np.uint8)
-        ch = transmit(turbo_encode(bits, qpp), noise_variance=1e-2, seed=11)
+        bits, ch = simulate_blocks(qpp, noise_variance=1e-2, seed=11, lo=0, hi=4)
         config = DecoderConfig(mode=MaxStarMode.LOG_MAP, iterations=2, qpp=qpp)
         assert np.array_equal(turbo_decode(ch, config).hard_bits, bits)

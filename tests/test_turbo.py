@@ -1,13 +1,16 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from lteturbo.channel import ChannelConfig, ChannelLlrs, transmit
+from lteturbo.channel import ChannelConfig, ChannelLlrs
 from lteturbo.maxstar import MaxStarMode
 from lteturbo.qpp import inverse_permutation, params_for_block_size, permutation
 from lteturbo.siso import SisoInput, siso_decode
 from lteturbo.trellis import turbo_encode
 from lteturbo.turbo import (DecoderConfig, ber_vs_iterations, run_monte_carlo,
-                            turbo_decode)
+                            simulate_blocks, turbo_decode)
 
 QPP40 = params_for_block_size(40)
 
@@ -21,11 +24,15 @@ def noiseless_llrs(bits, qpp, magnitude=12.0):
         tail2_info=scale(cw.tail.enc2_info), tail2_parity=scale(cw.tail.enc2_parity))
 
 
+def block(ch, i):
+    """Row i of batched channel LLRs, as an unbatched ChannelLlrs."""
+    return ChannelLlrs(*(getattr(ch, f.name)[i] for f in dataclasses.fields(ch)))
+
+
 def noisy_llrs(qpp, snr_db, seed):
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, qpp.n, dtype=np.uint8)
     sigma2 = ChannelConfig.for_block_size(qpp.n, snr_db).noise_variance
-    return bits, transmit(turbo_encode(bits, qpp), sigma2, seed)
+    bits, ch = simulate_blocks(qpp, sigma2, seed, 0, 1)
+    return bits[0], block(ch, 0)
 
 
 class TestDecoderConfig:
@@ -110,14 +117,9 @@ class TestTurboDecode:
     def test_batch_matches_single(self):
         # no option couples the blocks of a batch: each decodes exactly
         # as it would alone, for every kernel and exchange schedule
-        rng = np.random.default_rng(34)
-        bits = rng.integers(0, 2, (4, 40), dtype=np.uint8)
         sigma2 = ChannelConfig.for_block_size(40, 2.0).noise_variance
-        chans = [transmit(turbo_encode(bits[i], QPP40), sigma2, 100 + i)
-                 for i in range(4)]
-        batch = ChannelLlrs(*(np.stack([getattr(c, f) for c in chans])
-                              for f in ("lu", "parity1", "parity2", "tail1_info",
-                                        "tail1_parity", "tail2_info", "tail2_parity")))
+        _, batch = simulate_blocks(QPP40, sigma2, 34, 0, 4)
+        chans = [block(batch, i) for i in range(4)]
         for mode in MaxStarMode:
             for window_len in (None, 16):
                 for quantization in (None, (6, 2)):
@@ -159,6 +161,34 @@ class TestMonteCarlo:
         config = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=2, qpp=QPP40)
         with pytest.raises(ValueError, match="batch_size"):
             run_monte_carlo(config, 1.0, 3, seed=5, batch_size=batch_size)
+
+    @pytest.mark.parametrize("num_blocks", [-1, -3])
+    def test_negative_num_blocks_rejected(self, num_blocks):
+        config = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=2, qpp=QPP40)
+        with pytest.raises(ValueError, match="num_blocks"):
+            run_monte_carlo(config, 1.0, num_blocks, seed=5)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    @pytest.mark.parametrize("num_blocks", [0, 3])
+    def test_seed_outside_uint64_rejected(self, seed, num_blocks):
+        config = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=2, qpp=QPP40)
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            run_monte_carlo(config, 1.0, num_blocks, seed=seed)
+
+    @pytest.mark.parametrize("snr_db", [-math.inf, math.inf, math.nan])
+    def test_non_finite_snr_rejected(self, snr_db):
+        config = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=2, qpp=QPP40)
+        with pytest.raises(ValueError, match="Eb/N0 must be finite"):
+            run_monte_carlo(config, snr_db, 3, seed=5)
+
+    def test_blocks_are_those_of_simulate_blocks(self):
+        config = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=2, qpp=QPP40)
+        mc = run_monte_carlo(config, 0.5, 12, seed=9, batch_size=5)
+        sigma2 = ChannelConfig.for_block_size(40, 0.5).noise_variance
+        bits, ch = simulate_blocks(QPP40, sigma2, 9, 0, 12)
+        errors = turbo_decode(ch, config).hard_bits != bits
+        assert mc.bit_errors == errors.sum() > 0
+        assert mc.block_errors == errors.any(axis=-1).sum()
 
     def test_decode_time_is_measured(self):
         config = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=2, qpp=QPP40)
