@@ -8,17 +8,22 @@ Conventions, fixed so that simulation output is reproducible bit for bit:
   the 12 tail bits are a noticeable fraction of the block.
 * Demapping: L = 2 * r / sigma^2 under L = ln(P(b=0)/P(b=1)).
 * RNG: numpy's Philox counter-based generator.  Block b of a run seeded
-  with s uses block_rng(s, b) = Generator(Philox(key=[s, b])), both key
-  words in [0, 2**64).  lteturbo.turbo.simulate_blocks is the one
-  per-block recipe: it draws, in order, the n information bits then the
-  3n+12 noise samples.  Gaussians come from numpy's ziggurat sampler.
-  Blocks are therefore independent of batch or thread scheduling.
+  with s uses block_rng(s, b) = Generator(Philox(key=[s, b])), with s
+  and b integers in [0, 2**64).  lteturbo.turbo.simulate_blocks is the
+  one per-block recipe: it draws, in order, the n information bits then
+  the 3n+12 noise samples.  Gaussians come from numpy's ziggurat sampler.
+  Blocks are therefore independent of batch or thread scheduling.  A
+  Philox stream is addressed by its key alone, so simulate_blocks builds
+  one generator per batch and rekey_block_rng resets it to each later
+  block's key: the same streams as a fresh block_rng per block, without
+  building one.
 * Codeword serialisation order (also the noise-draw order):
   systematic | parity1 | parity2 | tail1 info | tail1 parity
   | tail2 info | tail2 parity.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +40,17 @@ class ChannelConfig:
     def __post_init__(self):
         if not math.isfinite(self.ebn0_db):
             raise ValueError(f"Eb/N0 must be finite, got {self.ebn0_db} dB")
-        if self.code_rate <= 0:
-            raise ValueError("code rate must be positive")
+        if not 0 < self.code_rate < math.inf:
+            raise ValueError(f"code rate must be positive and finite, "
+                             f"got {self.code_rate}")
+        try:
+            variance = self.noise_variance
+        except (OverflowError, ZeroDivisionError):
+            variance = math.inf
+        if not 0 < variance < math.inf:
+            raise ValueError(f"Eb/N0 {self.ebn0_db} dB at code rate "
+                             f"{self.code_rate} gives no positive, finite "
+                             f"noise variance")
 
     @classmethod
     def for_block_size(cls, n: int, ebn0_db: float) -> "ChannelConfig":
@@ -51,18 +65,40 @@ class ChannelConfig:
 KEY_LIMIT = 2 ** 64  # each Philox key word is a uint64
 
 
-def check_key_word(name: str, value: int) -> None:
-    """Reject a seed or block index that is not a Philox key word."""
+def check_key_word(name: str, value: int) -> int:
+    """The seed or block index as a Philox key word, a Python int.
+
+    Integers of any type pass; a float or other non-integer raises
+    TypeError rather than being truncated to another run's key.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
     if not 0 <= value < KEY_LIMIT:
         raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+    return value
 
 
 def block_rng(seed: int, block_index: int) -> np.random.Generator:
     """The dedicated RNG stream of one block: Philox keyed by (seed, block)."""
-    check_key_word("seed", seed)
-    check_key_word("block index", block_index)
-    return np.random.Generator(np.random.Philox(key=np.array(
-        [seed, block_index], dtype=np.uint64)))
+    key = [check_key_word("seed", seed), check_key_word("block index", block_index)]
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+
+
+def rekey_block_rng(rng: np.random.Generator, seed: int, block_index: int) -> None:
+    """Reset a block_rng generator to the start of block_rng(seed, block_index).
+
+    Whatever rng drew before, its Philox gets the key (seed, block_index),
+    counter 0, an empty buffer and no cached uint32, so its next draws
+    are byte for byte those of a fresh block_rng(seed, block_index).
+    Several times cheaper than building that generator.
+    """
+    key = (check_key_word("seed", seed), check_key_word("block index", block_index))
+    # tuples, not uint64 arrays: the state setter reads them faster
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def bpsk_modulate(bits) -> np.ndarray:

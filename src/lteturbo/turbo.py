@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import KEY_LIMIT, ChannelConfig, ChannelLlrs, block_rng, \
-    bpsk_modulate, check_key_word, llr_demap, serialize_codeword, split_llrs
+    bpsk_modulate, check_key_word, llr_demap, rekey_block_rng, \
+    serialize_codeword, split_llrs
 from .maxstar import MaxStarMode
 from .qpp import QppParams, inverse_permutation, permutation
 from .siso import OpCounts, SisoInput, quantize_llrs, siso_decode
@@ -155,11 +156,14 @@ def simulate_blocks(qpp: QppParams, noise_variance: float, seed: int, lo: int,
 
     The one per-block recipe: block b draws its n information bits and
     then the 3n+12 Gaussians of its code word from block_rng(seed, b).
-    The bits are turbo encoded and BPSK modulated in serialize_codeword
-    order, the noise scaled by sqrt(noise_variance) is added, and the
-    received values are demapped and split.  Returns bits of shape
-    (hi - lo, n) and the LLRs batched the same way.  Row i is block
-    lo + i, byte for byte the same in any range that holds it.
+    One generator serves the range: block_rng(seed, lo) builds it and
+    rekey_block_rng resets it for each later block, so every block sees
+    exactly the stream of its own block_rng.  The bits are turbo encoded
+    and BPSK modulated in serialize_codeword order, the noise scaled by
+    sqrt(noise_variance) is added, and the received values are demapped
+    and split.  Returns bits of shape (hi - lo, n) and the LLRs batched
+    the same way.  Row i is block lo + i, byte for byte the same in any
+    range that holds it.
     """
     check_key_word("seed", seed)
     if not 0 <= lo <= hi <= KEY_LIMIT:
@@ -171,7 +175,10 @@ def simulate_blocks(qpp: QppParams, noise_variance: float, seed: int, lo: int,
     bits = np.empty((hi - lo, n), dtype=np.uint8)
     noise = np.empty((hi - lo, 3 * n + 12))
     for i, blk in enumerate(range(lo, hi)):
-        rng = block_rng(seed, blk)
+        if i:
+            rekey_block_rng(rng, seed, blk)
+        else:
+            rng = block_rng(seed, blk)
         bits[i] = rng.integers(0, 2, n, dtype=np.uint8)
         noise[i] = rng.standard_normal(3 * n + 12)
     symbols = bpsk_modulate(serialize_codeword(turbo_encode(bits, qpp)))
@@ -200,7 +207,8 @@ class McResult:
 
 
 def _default_batch_size(n: int) -> int:
-    # keep the batched forward-metric store around a few hundred MB at most
+    # 2**18 // n blocks of n stages: a forward-metric store of about 2**18
+    # stages of 7 float64 metrics, 14.7 MB, and at most 512 blocks
     return int(np.clip(2 ** 18 // n, 1, 512))
 
 

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lteturbo import turbo
 from lteturbo.channel import (ChannelConfig, block_rng, bpsk_modulate,
-                              llr_demap, serialize_codeword, split_llrs)
+                              llr_demap, rekey_block_rng, serialize_codeword,
+                              split_llrs)
 from lteturbo.qpp import params_for_block_size
 from lteturbo.trellis import turbo_encode
 from lteturbo.turbo import simulate_blocks
@@ -55,6 +57,19 @@ class TestChannelConfig:
     def test_rejects_non_finite_ebn0(self, ebn0_db):
         with pytest.raises(ValueError, match="Eb/N0 must be finite"):
             ChannelConfig.for_block_size(40, ebn0_db)
+
+    @pytest.mark.parametrize("ebn0_db, code_rate, match", [
+        (3100.0, 40 / 132, "Eb/N0"),     # 10**310 overflows
+        (4000.0, 40 / 132, "Eb/N0"),
+        (-3100.0, 40 / 132, "Eb/N0"),    # variance overflows to inf
+        (-3300.0, 40 / 132, "Eb/N0"),    # 10**-330 underflows to 0
+        (0.0, math.inf, "code rate"),    # variance 0
+        (0.0, math.nan, "code rate"),    # variance NaN
+    ])
+    def test_rejects_configs_without_a_finite_positive_variance(
+            self, ebn0_db, code_rate, match):
+        with pytest.raises(ValueError, match=match):
+            ChannelConfig(ebn0_db=ebn0_db, code_rate=code_rate)
 
 
 class TestAwgn:
@@ -132,6 +147,39 @@ class TestBlockRng:
         with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
             block_rng(*key)
 
+    @pytest.mark.parametrize("key, name", [
+        ((1.5, 0), "seed"), ((np.float64(2.0), 0), "seed"), ((0, 1.0), "block index")])
+    def test_rejects_non_integer_key_words(self, key, name):
+        # a float was truncated to another run's key: 1.5 gave seed 1's stream
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            block_rng(*key)
+
+    def test_numpy_integer_key_words(self):
+        a = block_rng(np.uint64(2 ** 64 - 1), np.int8(3)).standard_normal(4)
+        assert a.tobytes() == block_rng(2 ** 64 - 1, 3).standard_normal(4).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), b=st.integers(0, 2 ** 64 - 1),
+           other=st.tuples(st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 64 - 1)),
+           normals=st.integers(0, 9), n=st.integers(1, 300))
+    def test_rekey_gives_the_fresh_block_stream(self, seed, b, other, normals, n):
+        # leave the generator mid-buffer and holding a cached uint32
+        rng = block_rng(*other)
+        rng.standard_normal(normals)
+        rng.integers(0, 2 ** 32, 1, dtype=np.uint32)
+        rekey_block_rng(rng, seed, b)
+        fresh = block_rng(seed, b)
+        for draw in (lambda g: g.integers(0, 2, n, dtype=np.uint8),
+                     lambda g: g.standard_normal(3 * n + 12)):
+            assert draw(rng).tobytes() == draw(fresh).tobytes()
+
+    def test_rekey_checks_its_key_words(self):
+        rng = block_rng(0, 0)
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            rekey_block_rng(rng, 0, 2 ** 64)
+        with pytest.raises(TypeError, match="block index must be an integer"):
+            rekey_block_rng(rng, 0, 0.5)
+
 
 class TestSimulateBlocks:
     def test_shapes(self):
@@ -163,6 +211,25 @@ class TestSimulateBlocks:
         for f in dataclasses.fields(ch):
             stacked = np.concatenate([getattr(s[1], f.name) for s in singles])
             assert getattr(ch, f.name).tobytes() == stacked.tobytes()
+
+    def test_one_generator_per_range(self, monkeypatch):
+        # later blocks re-key it: block_rng is built once, also across a
+        # run's batches (512 + 88 blocks at n=40)
+        calls = []
+        monkeypatch.setattr(turbo, "block_rng",
+                            lambda *key: calls.append(key) or block_rng(*key))
+        simulate_blocks(QPP40, 1.0, 4, 3, 9)
+        simulate_blocks(QPP40, 1.0, 4, 9, 9)
+        assert calls == [(4, 3)]
+        config = turbo.DecoderConfig(iterations=1, qpp=QPP40)
+        calls.clear()
+        turbo.run_monte_carlo(config, 1.0, 600, seed=4)
+        assert calls == [(4, 0), (4, 512)]
+
+    def test_non_integer_seed_rejected(self):
+        # seed 3.7 silently repeated seed 3's blocks
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            simulate_blocks(QPP40, 1.0, 3.7, 0, 2)
 
     def test_extreme_keys(self):
         bits, _ = simulate_blocks(QPP40, 1.0, 2 ** 64 - 1, 2 ** 64 - 1, 2 ** 64)

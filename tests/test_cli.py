@@ -134,6 +134,16 @@ class TestBer:
                      "--out", str(out)] + extra) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
+    def test_two_batch_output_is_pinned(self, tmp_path):
+        # 600 blocks at n=40 decode as one batch of 512 and one of 88: pins
+        # the generator each batch builds and the blocks re-keyed inside it
+        out = tmp_path / "ber.csv"
+        assert main(["ber", "--n", "40", "--alg", "max-log", "--iters", "2",
+                     "--blocks", "600", "--snr-db", "1", "--seed", "9",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "4b03ff1b458f87bb239e6d0824819217b4143ba7d3c60dbabc6a106329ab5bef"
+
     def test_acquisition_beyond_the_block_is_the_whole_block(self, tmp_path):
         # an acquisition longer than the block reaches the tail from every
         # lane, also at values past int64

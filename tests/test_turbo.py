@@ -175,6 +175,13 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
             run_monte_carlo(config, 1.0, num_blocks, seed=seed)
 
+    @pytest.mark.parametrize("num_blocks", [0, 3])
+    def test_non_integer_seed_rejected(self, num_blocks):
+        # seed 3.7 silently repeated seed 3's run
+        config = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=2, qpp=QPP40)
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            run_monte_carlo(config, 1.0, num_blocks, seed=3.7)
+
     @pytest.mark.parametrize("snr_db", [-math.inf, math.inf, math.nan])
     def test_non_finite_snr_rejected(self, snr_db):
         config = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=2, qpp=QPP40)
