@@ -65,16 +65,18 @@ class ChannelConfig:
 KEY_LIMIT = 2 ** 64  # each Philox key word is a uint64
 
 
-def check_key_word(name: str, value: int) -> int:
-    """The seed or block index as a Philox key word, a Python int.
-
-    Integers of any type pass; a float or other non-integer raises
-    TypeError rather than being truncated to another run's key.
-    """
+def check_integer(name: str, value) -> int:
+    """value as a Python int: integers of any type pass; a float or other
+    non-integer raises TypeError rather than being truncated."""
     try:
-        value = operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_key_word(name: str, value: int) -> int:
+    """The seed or block index as a Philox key word (check_integer), a Python int."""
+    value = check_integer(name, value)
     if not 0 <= value < KEY_LIMIT:
         raise ValueError(f"{name} must be in [0, 2**64), got {value}")
     return value

@@ -46,6 +46,9 @@ Unreachable trellis states are marked with a large negative sentinel
 special-casing is needed here: when one argument is at the sentinel the
 difference |x-y| is astronomical, every correction term evaluates to
 exactly 0.0, and the other argument is returned unchanged.
+The sentinel is -1e300: SisoInput admits |LLR| <= 1e250, whose metrics
+(sums of a few times n of them) stay far above it, so no unreachable path
+ever wins; twice it, an edge between two unreachable states, stays finite.
 """
 
 import enum
@@ -53,7 +56,7 @@ import enum
 import numpy as np
 
 # Sentinel standing in for -inf on the metric scale.
-METRIC_NEG_INF = -1.0e15
+METRIC_NEG_INF = -1.0e300
 # The fixed correction constants (see the module docstring).
 CONSTANT_C, CONSTANT_T = 0.5, 1.5
 LINEAR_A, LINEAR_T = -0.24904, 2.5068

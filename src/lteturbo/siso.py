@@ -9,9 +9,10 @@ cost-saving conventions throughout:
   take arithmetic, the other two are their negations.
 
 * Normalization.  After every stage the state-0 metric is subtracted
-  from all eight.  Because every max* variant is shift-equivariant this
-  changes no LLR, it only keeps metrics bounded -- and state 0 becomes
-  implicitly zero, so only seven values per stage are stored.
+  from all eight, always.  Every max* variant is shift-equivariant, so
+  this changes no LLR (the unnormalized reference is tests/oracles.py)
+  and keeps metrics bounded; state 0 becomes implicitly zero, so only
+  seven values per stage are stored.
 
 * Storage.  Only the forward metrics are kept (a MetricMatrix of 7*n
   values per block; with windows, n is rounded up to whole windows, so
@@ -72,9 +73,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .channel import check_integer
 from .maxstar import METRIC_NEG_INF, MaxStarMode, max_star, max_star_reduce
 from .trellis import lte_trellis
 
+_LLR_LIMIT = 1.0e250   # largest |LLR| a SisoInput accepts; see METRIC_NEG_INF
 _TRELLIS = lte_trellis()
 # (source states, branch-metric indices) wiring of each recursion
 # direction, (2, 8): row i holds each output state's i-th incoming edge
@@ -99,7 +102,7 @@ class OpCounts:
       boundary-initialisation steps that consume the tail LLRs are not
       in-block work and are excluded; sliding-window acquisition stages
       are in-block work and are included.  Each butterfly stage also
-      costs 16 adds (8 states x 2 edges) and, normalized, 7 subs.
+      costs 16 adds (8 states x 2 edges) and 7 subs (the normalization).
     * Each information stage costs 2 adds + 2 subs of branch metrics
       (over the systematic, a-priori and parity streams), 32 adds of
       alpha + gamma + beta on 16 edges and 2 subs (LLR, extrinsic).
@@ -151,21 +154,21 @@ def compute_branch_metrics(lu, lc2, axis: int = -1) -> np.ndarray:
     return table
 
 
-def _kernel(metrics, gamma_table, wiring, mode, normalize_metrics):
+def _kernel(metrics, gamma_table, wiring, mode):
     """The stage step all recursions share: 8 two-way add-max* updates.
 
     metrics (8, ...) and gamma_table (4, ...) in, next metrics (8, ...)
     out, state-major: each gather copies whole rows, and the two
     candidate halves are contiguous.  wiring is _FWD or _BWD: per
     incoming edge and output state, the source state and its
-    branch-metric index.  With normalize_metrics the state-0 metric is
-    subtracted from all eight.
+    branch-metric index.  The state-0 metric is subtracted from all
+    eight.
     """
     state_idx, gamma_idx = wiring
     cand = metrics.take(state_idx, axis=0)   # a third of fancy indexing's call cost
     cand += gamma_table.take(gamma_idx, axis=0)
     out = max_star(cand[0], cand[1], mode)
-    return out - out[0] if normalize_metrics else out
+    return out - out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +285,9 @@ class SisoInput:
             to_check += [tail_lu, tail_lc2]
             object.__setattr__(self, "tail_lu", tail_lu)
             object.__setattr__(self, "tail_lc2", tail_lc2)
-        for a in to_check:
-            if not np.all(np.isfinite(a)):
-                raise ValueError("input LLRs must be finite")
+        for a in to_check:   # NaN fails the <=, so NaN and inf are rejected too
+            if not np.abs(a).max(initial=0.0) <= _LLR_LIMIT:
+                raise ValueError(f"input LLRs must be finite and within +-{_LLR_LIMIT:g}")
 
     @property
     def n(self) -> int:
@@ -302,7 +305,7 @@ class SisoResult:
     ops: OpCounts
 
 
-def _tail_boundary(inp: SisoInput, mode, normalize_metrics):
+def _tail_boundary(inp: SisoInput, mode):
     """Backward metrics (8, blocks) at the end of the information section.
 
     Runs the recursion from state 0 at the end of the tail through the
@@ -316,7 +319,7 @@ def _tail_boundary(inp: SisoInput, mode, normalize_metrics):
     tg = compute_branch_metrics(0.5 * inp.tail_lu.reshape(blocks, 3).T,
                                 0.5 * inp.tail_lc2.reshape(blocks, 3).T, axis=1)
     for k in range(2, -1, -1):
-        beta = _kernel(beta, tg[k], _BWD, mode, normalize_metrics)
+        beta = _kernel(beta, tg[k], _BWD, mode)
     return beta
 
 
@@ -327,7 +330,7 @@ def _pad_stages(x, span: int):
         [x, np.zeros(x.shape[:-1] + (pad,))], axis=-1)
 
 
-def siso_decode(inp: SisoInput, config, *, normalize_metrics: bool = True) -> SisoResult:
+def siso_decode(inp: SisoInput, config) -> SisoResult:
     """Decode one constituent code block (or a batch of them).
 
     The forward recursion runs once over the whole block.  The backward
@@ -345,12 +348,6 @@ def siso_decode(inp: SisoInput, config, *, normalize_metrics: bool = True) -> Si
     inp : SisoInput
     config : DecoderConfig
         Only mode, window_len and acquisition_len are read.
-    normalize_metrics : bool
-        Debug toggle.  When False the per-stage state-0 subtraction is
-        skipped; output LLRs are unchanged up to max* shift equivariance
-        (bit-exact for MAX_LOG) but raw metrics grow with block length
-        and an extra length-n vector is needed to remember the state-0
-        metric -- exactly the storage the normalization trick avoids.
 
     Returns
     -------
@@ -389,22 +386,18 @@ def siso_decode(inp: SisoInput, config, *, normalize_metrics: bool = True) -> Si
     store = MetricMatrix(batch, span)
     stored = store.data.reshape(L, lanes, blocks, 7)
     stored[n - (lanes - 1) * L:, -1] = 0.0     # the last lane's padding stages
-    alpha0 = None if normalize_metrics else np.zeros((L, lanes, blocks))
     alpha = np.full((8, blocks), METRIC_NEG_INF)
     alpha[0] = 0.0
     for k in range(n):
         w, j = divmod(k, L)
         stored[j, w] = alpha[1:].T
-        if alpha0 is not None:
-            alpha0[j, w] = alpha[0]
-        alpha = _kernel(alpha, gam[j, :, w], _FWD, mode, normalize_metrics)
+        alpha = _kernel(alpha, gam[j, :, w], _FWD, mode)
 
     # Lane rows: row w*blocks + b is lane w of block b, so stage j of
     # every lane is slab [j], and lanes 0..v-1 are its first v*blocks
     # rows.  Reshaping the contiguous arrays copies nothing.
     gam_rows = gam.reshape(L, 4, rows)
     store_rows = stored.reshape(L, rows, 7)
-    alpha0_rows = None if alpha0 is None else alpha0.reshape(L, rows)
     llr = np.empty((L, rows))
 
     def backward_step(beta, j):
@@ -413,28 +406,26 @@ def siso_decode(inp: SisoInput, config, *, normalize_metrics: bool = True) -> Si
         d, c = divmod(j, L)
         live = -(-(n - j) // L) * blocks
         if live == rows:
-            return _kernel(beta, gam_rows[c], _BWD, mode, normalize_metrics)
+            return _kernel(beta, gam_rows[c], _BWD, mode)
         first = d * blocks
         beta[:, :live] = _kernel(beta[:, :live], gam_rows[c, :, first:first + live],
-                                 _BWD, mode, normalize_metrics)
+                                 _BWD, mode)
         return beta
 
     # A lane whose acquisition reaches the tail (always so for the last
     # lane) starts from the tail boundary, the others uniform.
     t_acquisition = perf_counter()
-    tail_beta = _tail_boundary(inp, mode, normalize_metrics)
+    tail_beta = _tail_boundary(inp, mode)
     reaches_tail = np.arange(1, lanes + 1)[:, None] * L + acq >= n
     beta = np.where(reaches_tail, tail_beta[:, None], 0.0).reshape(8, rows)
     for j in range(L + A - 1, L - 1, -1):
         beta = backward_step(beta, j)
 
     t_backward = perf_counter()
-    alpha_col = np.zeros((8, rows))
+    alpha_col = np.zeros((8, rows))   # row 0 stays 0: the normalized state 0
     # Fused backward/LLR loop: beta holds the stage-(j+1) column when the
     # stage-j LLR is formed, then one more stage step retires it.
     for j in range(L - 1, -1, -1):
-        if alpha0_rows is not None:
-            alpha_col[0] = alpha0_rows[j]
         alpha_col[1:] = store_rows[j].T
         vals = alpha_col.take(_EDGE_START, axis=0)
         vals += gam_rows[j].take(_EDGE_GAMMA, axis=0)
@@ -456,7 +447,7 @@ def siso_decode(inp: SisoInput, config, *, normalize_metrics: bool = True) -> Si
     stages = 2 * n + sum(lane_acq)   # butterfly stages; costs: see OpCounts
     ops = OpCounts(
         adds=(2 * n + 16 * stages + 32 * n) * blocks,
-        subs=(2 * n + (7 * stages if normalize_metrics else 0) + 2 * n) * blocks,
+        subs=(2 * n + 7 * stages + 2 * n) * blocks,
         max_star_pairs=8 * stages * blocks,
         llr_reduces=2 * n * blocks,
         stream_reads=3 * (n + (3 if inp.tail_lu is not None else 0)) * blocks,
@@ -475,6 +466,8 @@ def quantize_llrs(llrs, bits: int, frac_bits: int) -> np.ndarray:
     [-2**(bits-1), 2**(bits-1) - 1] grid steps.  Output stays on the
     real LLR scale.  Ties round to even (IEEE default).
     """
+    bits = check_integer("bits", bits)
+    frac_bits = check_integer("frac_bits", frac_bits)
     if not 2 <= bits <= 16:
         raise ValueError(f"bits must be in [2, 16], got {bits}")
     if not 0 <= frac_bits < bits:

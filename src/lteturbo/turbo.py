@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import KEY_LIMIT, ChannelConfig, ChannelLlrs, block_rng, \
-    bpsk_modulate, check_key_word, llr_demap, rekey_block_rng, \
-    serialize_codeword, split_llrs
+    bpsk_modulate, check_integer, check_key_word, llr_demap, \
+    rekey_block_rng, serialize_codeword, split_llrs
 from .maxstar import MaxStarMode
 from .qpp import QppParams, inverse_permutation, permutation
 from .siso import OpCounts, SisoInput, quantize_llrs, siso_decode
@@ -49,6 +49,10 @@ class DecoderConfig:
     quantization: tuple[int, int] | None = None
 
     def __post_init__(self):
+        for name in ("iterations", "window_len", "acquisition_len"):
+            value = getattr(self, name)
+            if not (name == "window_len" and value is None):   # None: no windows
+                object.__setattr__(self, name, check_integer(name, value))
         if self.iterations < 1:
             raise ValueError("need at least one full iteration")
         if self.window_len is not None and self.window_len < 1:
@@ -57,7 +61,8 @@ class DecoderConfig:
             raise ValueError("acquisition length must be >= 0")
         if self.quantization is not None:
             bits, frac = self.quantization
-            quantize_llrs(0.0, bits, frac)  # validates the pair
+            quantize_llrs(0.0, bits, frac)  # validates the pair: integers, in range
+            object.__setattr__(self, "quantization", (int(bits), int(frac)))
 
     @property
     def n(self) -> int | None:
@@ -86,15 +91,12 @@ def _quantizer(config: DecoderConfig):
 
 
 def turbo_decode(ch: ChannelLlrs, config: DecoderConfig,
-                 trace_iterations: bool = False, *,
-                 normalize_metrics: bool = True) -> DecodeResult:
+                 trace_iterations: bool = False) -> DecodeResult:
     """Run config.iterations full iterations.
 
     With trace_iterations=True the result carries the combined LLR
     vector after every full iteration (per_iteration_llrs[i] for
-    iteration i+1).  normalize_metrics is the debug toggle of
-    siso_decode, passed through so the two normalization settings can be
-    compared end to end.
+    iteration i+1).
     """
     qpp = config.qpp
     if qpp is None:
@@ -121,14 +123,12 @@ def turbo_decode(ch: ChannelLlrs, config: DecoderConfig,
         # are block-sized, and would otherwise stay alive through the
         # next siso_decode call, beside that call's own temporaries
         s1 = siso_decode(SisoInput(lu=lu + apriori, lc2=parity1,
-                                   tail_lu=t1i, tail_lc2=t1p), config,
-                         normalize_metrics=normalize_metrics)
+                                   tail_lu=t1i, tail_lc2=t1p), config)
         ext1 = quant(s1.extrinsic)
         ops += s1.ops
         del s1
         s2 = siso_decode(SisoInput(lu=lu_perm + ext1[..., pi], lc2=parity2,
-                                   tail_lu=t2i, tail_lc2=t2p), config,
-                         normalize_metrics=normalize_metrics)
+                                   tail_lu=t2i, tail_lc2=t2p), config)
         ext2 = quant(s2.extrinsic)
         ops += s2.ops
         del s2

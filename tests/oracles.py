@@ -4,8 +4,8 @@ Everything here is deliberately written from scratch in plain scalar
 Python (no shared code with src/): a bit-level shift-register encoder,
 exhaustive a-posteriori / best-sequence LLR computations that enumerate
 every information word, a 16-edge state-metric update that walks the
-edge list directly, and a sliding-window decoder that runs one window
-after another.
+edge list directly, a sliding-window decoder that runs one window
+after another, and a turbo loop built on it.
 """
 
 import math
@@ -200,3 +200,37 @@ def window_reference_llrs(lu, lc2, tail_lu, tail_lc2, mode, window_len,
             llrs[k] = folds[1] - folds[-1]
             beta = step(beta, half_lu[k], half_lc2[k], False)
     return np.array(llrs)
+
+
+def turbo_reference_decode(lu, parity1, parity2, tail1_info, tail1_parity,
+                           tail2_info, tail2_parity, f1, f2, iterations, mode,
+                           normalize, c, t, a, t_lin):
+    """Iterative turbo decode of one block with window_reference_llrs.
+
+    Each constituent is decoded as one window; the interleaver is the QPP
+    pi(i) = (f1*i + f2*i^2) mod n, computed here.  Per full iteration:
+    decoder 1 sees lu + apriori and parity1, its extrinsic (output minus
+    its lu input) is interleaved and added to the interleaved lu for
+    decoder 2 on parity2, and decoder 2's extrinsic, deinterleaved, is
+    the next a-priori input.  Returns (final LLRs, hard bits), the final
+    LLRs being lu + extrinsic1 + apriori after the last iteration and a
+    hard bit 1 where they are negative.
+    """
+    n = len(lu)
+    pi = [(f1 * i + f2 * i * i) % n for i in range(n)]
+    lu = [float(x) for x in lu]
+    apriori = [0.0] * n
+    for _ in range(iterations):
+        in1 = [x + y for x, y in zip(lu, apriori)]
+        out1 = window_reference_llrs(in1, list(parity1), list(tail1_info),
+                                     list(tail1_parity), mode, n, 0, normalize,
+                                     c, t, a, t_lin)
+        ext1 = [float(o) - x for o, x in zip(out1, in1)]
+        in2 = [lu[pi[i]] + ext1[pi[i]] for i in range(n)]
+        out2 = window_reference_llrs(in2, list(parity2), list(tail2_info),
+                                     list(tail2_parity), mode, n, 0, normalize,
+                                     c, t, a, t_lin)
+        for i in range(n):
+            apriori[pi[i]] = float(out2[i]) - in2[i]
+    final = np.array([x + e + p for x, e, p in zip(lu, ext1, apriori)])
+    return final, (final < 0).astype(np.uint8)

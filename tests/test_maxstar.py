@@ -161,8 +161,8 @@ def log_map_values(seed, shape, sentinel_frac):
 
 
 def assert_near_logaddexp(got, want):
-    # 1e-12 on the metric scale; at the sentinel scale (|want| ~ 1e15)
-    # one float spacing is 0.125, so the bound there is relative
+    # 1e-12 on the metric scale; at the sentinel scale (|want| ~ 1e300)
+    # one float spacing is about 1e284, so the bound there is relative
     np.testing.assert_array_less(np.abs(got - want),
                                  1e-12 * np.maximum(1.0, np.abs(want)))
 

@@ -46,9 +46,9 @@ class TestBranchMetrics:
 
 
 def stage_step(prev, gamma_table, direction, mode):
-    """One unnormalized stage of the decoder's forward or backward recursion."""
+    """One normalized stage of the decoder's forward or backward recursion."""
     wiring = {"forward": siso._FWD, "backward": siso._BWD}[direction]
-    return siso._kernel(prev, gamma_table, wiring, mode, normalize_metrics=False)
+    return siso._kernel(prev, gamma_table, wiring, mode)
 
 
 class TestButterflyUpdate:
@@ -86,7 +86,7 @@ class TestButterflyUpdate:
             lu, lc2 = rng.normal(0, 5, 2)
             got = stage_step(prev, compute_branch_metrics(lu, lc2), direction, mode)
             want = naive_state_update(tr, prev, lu + lc2, lc2 - lu, direction, fn)
-            np.testing.assert_allclose(got, want, atol=1e-12)
+            np.testing.assert_allclose(got, want - want[0], atol=1e-12)
 
 
 def config_for(mode, **kw):
@@ -111,13 +111,19 @@ class TestSisoDecode:
             want = exhaustive_llrs(inp.lu, inp.lc2, inp.tail_lu, inp.tail_lc2)
             np.testing.assert_allclose(res.llr_out, want, atol=1e-6)
 
-    def test_best_sequence_oracle_max_log_exact(self):
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 60, 2.0 ** 600],
+                             ids=["1", "2**60", "2**600"])
+    def test_best_sequence_oracle_max_log_exact(self, scale):
         # dyadic-grid inputs keep every sum exact in float64, so the
         # decoder output and the brute-force best-sequence LLRs must be
-        # bit-identical
+        # bit-identical; scaled by a power of two they stay exact, and
+        # the unreachable-state sentinel must stay below every path
         rng = np.random.default_rng(12)
         for _ in range(6):
             inp = random_siso_input(rng, 8, dyadic_grid=True)
+            inp = SisoInput(lu=scale * inp.lu, lc2=scale * inp.lc2,
+                            tail_lu=scale * inp.tail_lu,
+                            tail_lc2=scale * inp.tail_lc2)
             res = siso_decode(inp, config_for(MaxStarMode.MAX_LOG))
             want = exhaustive_llrs(inp.lu, inp.lc2, inp.tail_lu, inp.tail_lc2,
                                    best_sequence=True)
@@ -141,14 +147,18 @@ class TestSisoDecode:
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_normalization_neutrality(self, mode):
+        # the always-normalized decoder against the oracle's unnormalized
+        # one-window decode
         rng = np.random.default_rng(15)
         inp = random_siso_input(rng, 48, dyadic_grid=True)
-        res_n = siso_decode(inp, config_for(mode), normalize_metrics=True)
-        res_r = siso_decode(inp, config_for(mode), normalize_metrics=False)
+        res = siso_decode(inp, config_for(mode))
+        want = window_reference_llrs(
+            inp.lu.tolist(), inp.lc2.tolist(), inp.tail_lu, inp.tail_lc2,
+            mode.value, inp.n, 0, False, CONSTANT_C, CONSTANT_T, LINEAR_A, LINEAR_T)
         if mode in (MaxStarMode.MAX_LOG, MaxStarMode.CONSTANT_LOG):
-            assert np.array_equal(res_n.llr_out, res_r.llr_out)
+            assert np.array_equal(res.llr_out, want)
         else:
-            np.testing.assert_allclose(res_n.llr_out, res_r.llr_out, atol=1e-6)
+            np.testing.assert_allclose(res.llr_out, want, atol=1e-6)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(16)
@@ -227,6 +237,21 @@ class TestSisoDecode:
             SisoInput(lu=np.array([np.inf, 0.0]), lc2=np.zeros(2))
         with pytest.raises(ValueError, match="tail"):
             SisoInput(lu=np.zeros(8), lc2=np.zeros(8), tail_lu=np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [1e260, -1e260, np.inf, np.nan])
+    def test_rejects_non_finite_or_huge_llrs(self, bad):
+        # beyond 1e250 a metric could approach the unreachable-state
+        # sentinel; NaN and inf are no LLRs at all
+        for stream in ("lu", "lc2", "tail_lu", "tail_lc2"):
+            streams = dict(lu=np.zeros(4), lc2=np.zeros(4),
+                           tail_lu=np.zeros(3), tail_lc2=np.zeros(3))
+            streams[stream][1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                SisoInput(**streams)
+
+    def test_accepts_llrs_at_the_bound(self):
+        inp = SisoInput(lu=np.array([1e250, -1e250]), lc2=np.zeros(2))
+        assert np.isfinite(siso_decode(inp, config_for(MaxStarMode.MAX_LOG)).llr_out).all()
 
     def test_empty_block_rejected(self):
         with pytest.raises(ValueError, match="stage"):
@@ -321,16 +346,14 @@ class TestStageStepProperties:
 
     @settings(max_examples=40, deadline=None)
     @given(inp=dyadic_siso_inputs(), mode=st.sampled_from(ALL_MODES),
-           normalize_metrics=st.booleans(), data=st.data())
+           data=st.data())
     def test_windowed_equals_full_when_acquisition_covers_the_block(
-            self, inp, mode, normalize_metrics, data):
+            self, inp, mode, data):
         window = data.draw(st.integers(1, inp.n))
         acq = data.draw(st.integers(inp.n, inp.n + 4))
-        full = siso_decode(inp, config_for(mode),
-                           normalize_metrics=normalize_metrics)
+        full = siso_decode(inp, config_for(mode))
         windowed = siso_decode(inp, config_for(mode, window_len=window,
-                                               acquisition_len=acq),
-                               normalize_metrics=normalize_metrics)
+                                               acquisition_len=acq))
         assert windowed.llr_out.tobytes() == full.llr_out.tobytes()
 
     @settings(max_examples=40, deadline=None)
@@ -375,19 +398,17 @@ class TestStageMajorLayout:
 
     @settings(max_examples=30, deadline=None)
     @given(case=windowed_case(batch=(2, 3)), windowed=st.booleans(),
-           mode=st.sampled_from(ALL_MODES), normalize_metrics=st.booleans())
-    def test_2d_batch_equals_each_block_decoded_alone(self, case, windowed, mode,
-                                                      normalize_metrics):
+           mode=st.sampled_from(ALL_MODES))
+    def test_2d_batch_equals_each_block_decoded_alone(self, case, windowed, mode):
         window, acq, inp = case
         cfg = config_for(mode, window_len=window if windowed else None,
                          acquisition_len=acq)
-        batch = siso_decode(inp, cfg, normalize_metrics=normalize_metrics)
+        batch = siso_decode(inp, cfg)
         assert batch.llr_out.shape == batch.extrinsic.shape == (2, 3, inp.n)
         for i in np.ndindex(2, 3):
             tail = {} if inp.tail_lu is None else dict(
                 tail_lu=inp.tail_lu[i], tail_lc2=inp.tail_lc2[i])
-            one = siso_decode(SisoInput(lu=inp.lu[i], lc2=inp.lc2[i], **tail), cfg,
-                              normalize_metrics=normalize_metrics)
+            one = siso_decode(SisoInput(lu=inp.lu[i], lc2=inp.lc2[i], **tail), cfg)
             assert one.llr_out.tobytes() == batch.llr_out[i].tobytes()
             assert one.extrinsic.tobytes() == batch.extrinsic[i].tobytes()
 
@@ -399,20 +420,17 @@ class TestWindowReference:
     the decoder's numpy's vectorised ones, and the two round apart."""
 
     @settings(max_examples=60, deadline=None)
-    @given(case=windowed_case(), mode=st.sampled_from(ALL_MODES),
-           normalize_metrics=st.booleans())
-    def test_lanes_equal_window_by_window_reference(self, case, mode,
-                                                    normalize_metrics):
+    @given(case=windowed_case(), mode=st.sampled_from(ALL_MODES))
+    def test_lanes_equal_window_by_window_reference(self, case, mode):
         window, acq, inp = case
         res = siso_decode(inp, config_for(mode, window_len=window,
-                                          acquisition_len=acq),
-                          normalize_metrics=normalize_metrics)
+                                          acquisition_len=acq))
         for i in range(2):
             tail = ((None, None) if inp.tail_lu is None
                     else (inp.tail_lu[i], inp.tail_lc2[i]))
             want = window_reference_llrs(
                 inp.lu[i].tolist(), inp.lc2[i].tolist(), *tail, mode.value,
-                window, acq, normalize_metrics,
+                window, acq, True,
                 CONSTANT_C, CONSTANT_T, LINEAR_A, LINEAR_T)
             if mode is MaxStarMode.LOG_MAP:
                 np.testing.assert_allclose(res.llr_out[i], want, rtol=0, atol=1e-9)
@@ -445,3 +463,7 @@ class TestQuantize:
             quantize_llrs(0.0, 17, 2)
         with pytest.raises(ValueError):
             quantize_llrs(0.0, 6, 6)
+        with pytest.raises(TypeError, match="^bits must be an integer"):
+            quantize_llrs(0.0, 6.5, 2)
+        with pytest.raises(TypeError, match="^frac_bits must be an integer"):
+            quantize_llrs(0.0, 6, 2.5)

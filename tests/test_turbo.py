@@ -46,6 +46,30 @@ class TestDecoderConfig:
         with pytest.raises(ValueError):
             DecoderConfig(quantization=(1, 0))
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("iterations", dict(iterations=2.5)),
+        ("iterations", dict(iterations=None)),
+        ("window_len", dict(window_len=7.5)),
+        ("acquisition_len", dict(acquisition_len=3.5)),
+        ("bits", dict(quantization=(6.5, 2))),
+        ("frac_bits", dict(quantization=(6, 2.5))),
+    ], ids=["iterations", "iterations_none", "window_len", "acquisition_len", "quant_bits",
+            "quant_frac_bits"])
+    def test_rejects_non_integer_settings(self, field, kwargs):
+        # a fractional setting would run (or fail deep inside the decoder)
+        # instead of being refused where it is given
+        with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+            DecoderConfig(**kwargs)
+
+    def test_integer_settings_are_stored_as_python_ints(self):
+        config = DecoderConfig(iterations=np.int64(3), window_len=np.uint16(8),
+                               acquisition_len=np.int32(4),
+                               quantization=(np.int8(6), np.int64(2)))
+        values = (config.iterations, config.window_len, config.acquisition_len,
+                  *config.quantization)
+        assert values == (3, 8, 4, 6, 2)
+        assert all(type(v) is int for v in values)
+
     def test_num_windows(self):
         assert DecoderConfig().num_windows(40) == 1
         assert DecoderConfig(window_len=16).num_windows(40) == 3
