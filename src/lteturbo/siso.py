@@ -5,8 +5,14 @@ trellis with a selectable max* kernel.  The implementation follows a few
 cost-saving conventions throughout:
 
 * Branch metrics.  Each trellis stage has 16 edge metrics but only four
-  distinct values g1, g2, -g2, -g1 (see trellis module); only g1 and g2
-  take arithmetic, the other two are their negations.
+  distinct values g1, g2, -g2, -g1 (see trellis module), and only g1
+  and g2 are stored: a (2, ...) table per stage.  The two edges of
+  every state carry +g and -g of the same entry, so a stage step adds
+  g[K] on one edge and subtracts it on the other (the wiring of
+  _signed_wiring).  This changes no bit against a four-entry table:
+  x - g is bitwise x + (-g), and no metric is ever -0.0 (they start
+  at +0.0 or the sentinel, and normalizing gives +0.0), so which edge
+  comes first in a max* call makes no difference.
 
 * Normalization.  After every stage the state-0 metric is subtracted
   from all eight, always.  Every max* variant is shift-equivariant, so
@@ -20,7 +26,10 @@ cost-saving conventions throughout:
   padding values).  Backward metrics live in one 8-slot register per
   lane (window): the backward recursion and the LLR output are fused
   into one loop, so each backward column is consumed the moment it is
-  produced.  The lanes are rows of one array.
+  produced.  The lanes are rows of one array.  Block-sized arrays are
+  freed once dead: the table and the store go before the LLRs are
+  copied out, so a call peaks at the store, the table and one LLR
+  array.
 
   Every per-stage array -- branch metrics, forward metrics and
   LLR output -- is stage-major: stage k = w*L + j (lane w, window
@@ -31,14 +40,20 @@ cost-saving conventions throughout:
   whose rows lie n*32 bytes apart.  Inputs are transposed into the
   layout once and the LLRs back once per call.
 
-  Within a slab the registers are state-major: alpha and beta are
-  (8, rows), the LLR edge values (16, rows) and a stage's branch
-  metrics (4, rows), from a (L, 4, lanes, blocks) table.  Each gather
-  of the wiring tables then copies whole rows, the two candidates of
-  a butterfly are contiguous (8, rows) halves, and each LLR fold
-  reduces a contiguous (8, rows) half over axis 0.  Only the forward
-  store keeps the state axis last, (stages,) + batch + (7,): it is
-  written as alpha[1:].T and read back transposed.
+  Within a slab everything is state-major: alpha and beta are
+  (8, rows), a stage's branch metrics (2, rows) from a
+  (L, 2, lanes, blocks) table, and the forward store
+  (stages, 7) + batch, so a forward step writes alpha[1:] as one slab
+  and a backward step copies the lanes' slabs back as whole rows.
+  Each gather of the wiring tables copies whole rows, the two
+  candidates of a butterfly are contiguous (8, rows) halves, and each
+  LLR fold reduces a contiguous (8, rows) half over axis 0.
+
+* LLR output.  Stage j's LLR is formed inside the backward step that
+  retires beta's stage-(j+1) column, from that step's own gathers: the
+  edge values are (alpha +- g) + beta, with beta gathered once for both
+  the butterfly and the LLR, then put in the folds' order (the eight
+  u=0 edges by start state, then the u=1 edges) by one take.
 
 * Boundaries.  The forward recursion starts from the known state 0.  The
   backward recursion starts from state 0 at the end of the tail section
@@ -79,15 +94,29 @@ from .trellis import lte_trellis
 
 _LLR_LIMIT = 1.0e250   # largest |LLR| a SisoInput accepts; see METRIC_NEG_INF
 _TRELLIS = lte_trellis()
-# (source states, branch-metric indices) wiring of each recursion
-# direction, (2, 8): row i holds each output state's i-th incoming edge
-_FWD = (_TRELLIS.fwd_prev.T.copy(), _TRELLIS.fwd_gamma_idx.T.copy())
-_BWD = (_TRELLIS.bwd_next.T.copy(), _TRELLIS.bwd_gamma_idx.T.copy())
-# The 16 edges, the eight u=0 edges first (stable: each set keeps its
-# order), so each LLR fold reads a view of one half, not a gathered copy.
-_EDGE_START, _EDGE_END, _EDGE_GAMMA = (
-    a[np.argsort(_TRELLIS.edge_info, kind="stable")]
-    for a in (_TRELLIS.edge_start, _TRELLIS.edge_end, _TRELLIS.edge_gamma_idx))
+
+
+def _signed_wiring(states, gamma_idx):
+    """One recursion direction's wiring from the trellis tables.
+
+    states, gamma_idx are (8, 2): per state, its two edges' far states
+    and their indices into [g1, g2, -g2, -g1].  The two edges of a state
+    always carry +g[K] and -g[K] (indices K and 3 - K, K in {0, 1}).
+    Returns the far states (2, 8), row 0 the +g edges and row 1 the -g
+    edges, and K (8,), an index into the table [g1, g2].
+    """
+    plus = gamma_idx < 2
+    return np.array([states[plus], states[~plus]]), gamma_idx[plus]
+
+
+_FWD = _signed_wiring(_TRELLIS.fwd_prev, _TRELLIS.fwd_gamma_idx)
+_BWD = _signed_wiring(_TRELLIS.bwd_next, _TRELLIS.bwd_gamma_idx)
+# The backward butterfly's 16 edges, row * 8 + start state in its (2, 8)
+# gathers, in the LLR folds' order: the eight u=0 edges by start state,
+# then the u=1 edges, so each fold reads one contiguous half.
+_EDGE_BIT = {(e.start_state, e.end_state): e.info_bit for e in _TRELLIS.edges}
+_LLR_EDGES = np.array([row * 8 + s for bit in (0, 1) for s in range(8) for row in (0, 1)
+                       if _EDGE_BIT[s, _BWD[0][row, s]] == bit])
 
 
 @dataclass
@@ -134,41 +163,49 @@ class OpCounts:
 
 
 def compute_branch_metrics(lu, lc2, axis: int = -1) -> np.ndarray:
-    """Branch-metric table [g1, g2, -g2, -g1] of one stage or a whole block.
+    """Branch-metric table [g1, g2] of one stage or a whole block.
 
-    g1 = lu + lc2 and g2 = lc2 - lu; the table's 4-entry axis is `axis`
-    of the result (last by default), indexed by the trellis wiring
-    tables (fwd_gamma_idx, bwd_gamma_idx, edge_gamma_idx).
+    g1 = lu + lc2 and g2 = lc2 - lu; the table's 2-entry axis is `axis`
+    of the result (last by default).  Every edge's metric is +g1, -g1,
+    +g2 or -g2; the decoder's wiring says which (see _signed_wiring).
     """
     lu = np.asarray(lu, dtype=np.float64)
     lc2 = np.asarray(lc2, dtype=np.float64)
     shape = np.broadcast_shapes(lu.shape, lc2.shape)
     axis %= len(shape) + 1
     # written in place: no block-sized temporaries besides the table
-    table = np.empty(shape[:axis] + (4,) + shape[axis:])
+    table = np.empty(shape[:axis] + (2,) + shape[axis:])
     g = np.moveaxis(table, axis, 0)   # g[i, ...] is an array, even 0-d
     np.add(lu, lc2, out=g[0, ...])
     np.subtract(lc2, lu, out=g[1, ...])
-    np.negative(g[1, ...], out=g[2, ...])
-    np.negative(g[0, ...], out=g[3, ...])
     return table
 
 
-def _kernel(metrics, gamma_table, wiring, mode):
-    """The stage step all recursions share: 8 two-way add-max* updates.
+def _butterfly(cand, g, mode):
+    """8 two-way add-max* updates from gathered metrics, normalized.
 
-    metrics (8, ...) and gamma_table (4, ...) in, next metrics (8, ...)
-    out, state-major: each gather copies whole rows, and the two
-    candidate halves are contiguous.  wiring is _FWD or _BWD: per
-    incoming edge and output state, the source state and its
-    branch-metric index.  The state-0 metric is subtracted from all
-    eight.
+    cand (2, 8, ...) holds, per output state, the metrics at the far end
+    of its +g edge (row 0) and its -g edge (row 1); g (8, ...) is each
+    state's branch metric.  cand is overwritten.  The state-0 metric is
+    subtracted from all eight.  x - g is bitwise x + (-g): the sums are
+    those of a table that stores -g.
     """
-    state_idx, gamma_idx = wiring
-    cand = metrics.take(state_idx, axis=0)   # a third of fancy indexing's call cost
-    cand += gamma_table.take(gamma_idx, axis=0)
+    cand[0] += g
+    cand[1] -= g
     out = max_star(cand[0], cand[1], mode)
     return out - out[0]
+
+
+def _kernel(metrics, g_table, wiring, mode):
+    """The stage step all recursions share.
+
+    metrics (8, ...) and g_table (2, ...) in, next metrics (8, ...) out,
+    state-major: each gather copies whole rows, and the two candidate
+    halves are contiguous.  wiring is _FWD or _BWD.
+    """
+    state_idx, g_idx = wiring
+    # take costs a third of fancy indexing's call overhead
+    return _butterfly(metrics.take(state_idx, axis=0), g_table.take(g_idx, axis=0), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -223,18 +260,18 @@ def track_stage_times():
 class MetricMatrix:
     """Normalized forward metrics: seven values per stage, state 0 omitted.
 
-    data is (stages,) + batch_shape + (7,), stage-major (see the module
-    docstring): slab j*lanes + w holds stage w*L + j of every block, so
-    each step of the recursions reads or writes one contiguous slab; an
-    unwindowed block's slabs are simply its stages in order.  The state
-    axis stays last: a step writes the (8, rows) register as
-    alpha[1:].T and the backward pass reads it back transposed.  Holds the
-    block's stages rounded up to whole windows; the padding stages
-    (fewer than one window) count as stored values.
+    data is (stages, 7) + batch_shape, stage-major and then state-major
+    (see the module docstring): slab j*lanes + w holds stage w*L + j of
+    every block, so each forward step writes alpha[1:] as one contiguous
+    (7, blocks) slab, and each backward step reads the lanes' slabs of
+    stage j back as whole rows; an unwindowed block's slabs are simply
+    its stages in order.  Holds the block's stages rounded up to whole
+    windows; the padding stages (fewer than one window) count as stored
+    values and are never read.
     """
 
     def __init__(self, batch_shape: tuple, stages: int):
-        self.data = np.empty((stages,) + batch_shape + (7,))
+        self.data = np.empty((stages, 7) + batch_shape)
         if _records["allocations"] is not None:
             _records["allocations"].append(self)
 
@@ -378,38 +415,52 @@ def siso_decode(inp: SisoInput, config) -> SisoResult:
     # exact and peaks lower in memory than halving the table.  The
     # halved inputs stay expression temporaries, freed before the loops.
     gam = compute_branch_metrics(stage_major(0.5 * inp.lu),
-                                 stage_major(0.5 * inp.lc2), axis=1)  # (L, 4, lanes, blocks)
+                                 stage_major(0.5 * inp.lc2), axis=1)  # (L, 2, lanes, blocks)
 
     # Forward recursion.  Windows hand alpha across their shared
     # boundaries, so this is one continuous pass whatever the schedule.
     t_forward = perf_counter()
     store = MetricMatrix(batch, span)
-    stored = store.data.reshape(L, lanes, blocks, 7)
-    stored[n - (lanes - 1) * L:, -1] = 0.0     # the last lane's padding stages
+    stored = store.data.reshape(L, lanes, 7, blocks)
     alpha = np.full((8, blocks), METRIC_NEG_INF)
     alpha[0] = 0.0
     for k in range(n):
         w, j = divmod(k, L)
-        stored[j, w] = alpha[1:].T
+        stored[j, w] = alpha[1:]
         alpha = _kernel(alpha, gam[j, :, w], _FWD, mode)
 
     # Lane rows: row w*blocks + b is lane w of block b, so stage j of
     # every lane is slab [j], and lanes 0..v-1 are its first v*blocks
     # rows.  Reshaping the contiguous arrays copies nothing.
-    gam_rows = gam.reshape(L, 4, rows)
-    store_rows = stored.reshape(L, rows, 7)
+    gam_rows = gam.reshape(L, 2, rows)
     llr = np.empty((L, rows))
+    alpha_col = np.zeros((8, rows))   # row 0 stays 0: the normalized state 0
+    alpha_lanes = alpha_col[1:].reshape(7, lanes, blocks)
 
     def backward_step(beta, j):
         # stage w*L + j of each lane; the first `live` rows (the lanes
-        # that have it in the block) step, reading lane w + d's slab
+        # that have it in the block) step, reading lane w + d's slab.  A
+        # window step (d == 0) first forms the live lanes' stage-j LLRs
+        # from the step's own gathers, while beta still holds stage j + 1.
         d, c = divmod(j, L)
         live = -(-(n - j) // L) * blocks
-        if live == rows:
-            return _kernel(beta, gam_rows[c], _BWD, mode)
         first = d * blocks
-        beta[:, :live] = _kernel(beta[:, :live], gam_rows[c, :, first:first + live],
-                                 _BWD, mode)
+        cand = beta[:, :live].take(_BWD[0], axis=0)                   # (2, 8, live)
+        g = gam_rows[c, :, first:first + live].take(_BWD[1], axis=0)  # (8, live)
+        if d == 0:
+            alpha_lanes[...] = stored[j].transpose(1, 0, 2)
+            a = alpha_col[:, :live]
+            vals = np.empty((2, 8, live))   # (alpha +- g) + beta on each edge
+            np.add(a, g, out=vals[0])
+            np.subtract(a, g, out=vals[1])
+            vals += cand
+            vals = vals.reshape(16, live).take(_LLR_EDGES, axis=0)
+            llr[j, :live] = (max_star_reduce(vals[:8], mode, axis=0)
+                             - max_star_reduce(vals[8:], mode, axis=0))
+        out = _butterfly(cand, g, mode)
+        if live == rows:
+            return out
+        beta[:, :live] = out
         return beta
 
     # A lane whose acquisition reaches the tail (always so for the last
@@ -421,17 +472,10 @@ def siso_decode(inp: SisoInput, config) -> SisoResult:
     for j in range(L + A - 1, L - 1, -1):
         beta = backward_step(beta, j)
 
+    # Fused backward/LLR loop: each step forms the stage-j LLRs, then
+    # retires beta's stage-(j+1) column.
     t_backward = perf_counter()
-    alpha_col = np.zeros((8, rows))   # row 0 stays 0: the normalized state 0
-    # Fused backward/LLR loop: beta holds the stage-(j+1) column when the
-    # stage-j LLR is formed, then one more stage step retires it.
     for j in range(L - 1, -1, -1):
-        alpha_col[1:] = store_rows[j].T
-        vals = alpha_col.take(_EDGE_START, axis=0)
-        vals += gam_rows[j].take(_EDGE_GAMMA, axis=0)
-        vals += beta.take(_EDGE_END, axis=0)
-        llr[j] = (max_star_reduce(vals[:8], mode, axis=0)
-                  - max_star_reduce(vals[8:], mode, axis=0))
         beta = backward_step(beta, j)
     if _records["stage_times"] is not None:
         _records["stage_times"].append(StageTimes(
@@ -439,7 +483,9 @@ def siso_decode(inp: SisoInput, config) -> SisoResult:
             acquisition_s=t_backward - t_acquisition,
             backward_llr_s=perf_counter() - t_backward))
 
-    # back to block-major, one copy per call
+    # back to block-major, one copy per call, with the table and the
+    # store already freed; the padding lanes' LLR rows are never written
+    del gam, gam_rows, store, stored
     llr = llr.reshape(L, lanes, blocks).transpose(2, 1, 0).reshape(
         blocks, span)[:, :n].reshape(batch + (n,))
     extrinsic = llr - inp.lu

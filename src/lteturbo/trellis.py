@@ -17,9 +17,10 @@ directly.  Each edge carries three labels: u for the information bit, c1
 for the first coded stream and c2 for the second.  For a systematic code
 the first coded stream is the information bit itself, so c1 == u on every
 edge; c2 is the parity bit.  That is what collapses the 16 branch metrics
-to four values g1, -g1, g2, -g2 (see siso.compute_branch_metrics): the
-first coded stream's LLRs are part of lu, and an edge's metric is
-+-lu +- lc2.
+to four values g1, -g1, g2, -g2: the first coded stream's LLRs are part
+of lu, and an edge's metric is +-lu +- lc2.  The two edges of each state
+carry opposite values, so the decoder stores only g1 and g2 (see
+siso.compute_branch_metrics) and adds or subtracts them.
 """
 
 from dataclasses import dataclass
@@ -73,7 +74,9 @@ class TrellisSpec:
         All 16 edges, ordered by (start_state, info bit).
     fwd_prev, fwd_gamma_idx : (8, 2) int arrays
         For each end state, its two predecessor states and, per incoming
-        edge, an index into the metric value table [g1, g2, -g2, -g1].
+        edge, an index into the metric values [g1, g2, -g2, -g1].  The
+        decoder's table holds only [g1, g2]; siso._signed_wiring turns
+        each pair of indices (K, 3 - K) into +g[K] and -g[K].
     bwd_next, bwd_gamma_idx : (8, 2) int arrays
         Same wiring read in the other direction: per start state, its two
         successor states and the matching metric indices.

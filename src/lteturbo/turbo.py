@@ -113,29 +113,31 @@ def turbo_decode(ch: ChannelLlrs, config: DecoderConfig,
     parity2 = quant(ch.parity2)
     t1i, t1p = quant(ch.tail1_info), quant(ch.tail1_parity)
     t2i, t2p = quant(ch.tail2_info), quant(ch.tail2_parity)
-    lu_perm = lu[..., pi]
 
     ops = OpCounts()
     trace = [] if trace_iterations else None
     apriori = np.zeros_like(lu)
-    for _ in range(config.iterations):
-        # each SisoResult is dropped once read: its llr_out and extrinsic
-        # are block-sized, and would otherwise stay alive through the
-        # next siso_decode call, beside that call's own temporaries
-        s1 = siso_decode(SisoInput(lu=lu + apriori, lc2=parity1,
+    for i in range(1, config.iterations + 1):
+        # Decoder 2 is where a batch peaks, so no dead block-sized array
+        # lives beside it: decoder 1's input is summed into apriori's
+        # buffer and dropped with it, each SisoResult is dropped once
+        # read, and the combined LLRs (ext1 is kept for them) are formed
+        # only where they are read.
+        s1 = siso_decode(SisoInput(lu=np.add(lu, apriori, out=apriori), lc2=parity1,
                                    tail_lu=t1i, tail_lc2=t1p), config)
+        del apriori
         ext1 = quant(s1.extrinsic)
         ops += s1.ops
         del s1
-        s2 = siso_decode(SisoInput(lu=lu_perm + ext1[..., pi], lc2=parity2,
+        s2 = siso_decode(SisoInput(lu=(lu + ext1)[..., pi], lc2=parity2,
                                    tail_lu=t2i, tail_lc2=t2p), config)
-        ext2 = quant(s2.extrinsic)
+        apriori = quant(s2.extrinsic)[..., ip]
         ops += s2.ops
         del s2
-        apriori = ext2[..., ip]
-        combined = lu + ext1 + apriori
-        if trace is not None:
-            trace.append(combined)
+        if trace is not None or i == config.iterations:
+            combined = lu + ext1 + apriori
+            if trace is not None:
+                trace.append(combined)
     # Hard decisions are built once here, not per iteration: an extra
     # per-iteration array raised the sweep's peak RSS by about 10%.
     return DecodeResult(

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,24 +28,52 @@ def random_siso_input(rng, n, dyadic_grid=False):
 
 class TestBranchMetrics:
     def test_zero(self):
-        assert np.array_equal(compute_branch_metrics(0.0, 0.0), np.zeros(4))
+        table = compute_branch_metrics(0.0, 0.0)
+        assert table.shape == (2,) and np.array_equal(table, np.zeros(2))
+        assert not np.signbit(table).any()
 
     def test_three_stream_sum(self):
-        # lu carries the systematic and a-priori streams summed
-        table = compute_branch_metrics(1.0 + 2.0, 3.0)
-        assert np.array_equal(table, [6.0, 0.0, 0.0, -6.0])
+        # lu carries the systematic and a-priori streams summed;
+        # the table is [g1, g2] = [lu + lc2, lc2 - lu]
+        assert np.array_equal(compute_branch_metrics(1.0 + 2.0, 3.0), [6.0, 0.0])
+        assert np.array_equal(compute_branch_metrics(1.0 + 2.0, 5.0), [8.0, 2.0])
+        assert np.array_equal(compute_branch_metrics(3.0, 0.0), [3.0, -3.0])
+        assert compute_branch_metrics(np.zeros((5, 7)), np.zeros((5, 7))).shape == (5, 7, 2)
 
     def test_derived_signs(self):
-        table = compute_branch_metrics(3.0, 0.0)
-        assert np.array_equal(table, [3.0, -3.0, 3.0, -3.0])
-        assert compute_branch_metrics(np.zeros((5, 7)), np.zeros((5, 7))).shape == (5, 7, 4)
+        # row 0 of each state adds its g[K], row 1 subtracts it: over both
+        # directions this must give every trellis edge, once each, its
+        # half-scale metric (u*lu + c2*lc2)/2 exactly
+        tr = lte_trellis()
+        edges = {(e.start_state, e.end_state): e for e in tr.edges}
+        rng = np.random.default_rng(28)
+        for _ in range(50):
+            lu, lc2 = rng.normal(0, 4, 2)
+            g = compute_branch_metrics(0.5 * lu, 0.5 * lc2)
+            for wiring, forward in ((siso._FWD, True), (siso._BWD, False)):
+                far, k = wiring
+                seen = set()
+                for row, sign in ((0, 1.0), (1, -1.0)):
+                    for s in range(8):
+                        key = (far[row, s], s) if forward else (s, far[row, s])
+                        e = edges[key]
+                        assert sign * g[k[s]] == (e.u * lu + e.c2 * lc2) / 2, (key, row)
+                        seen.add(key)
+                assert seen == set(edges)
+        # the LLR folds read the backward rows' edges u=0 first, each
+        # half by start state: the oracle's fold order
+        flat = [(s, far) for row in siso._BWD[0] for s, far in enumerate(row)]
+        order = [flat[i] for i in siso._LLR_EDGES]
+        assert order == sorted(edges, key=lambda se: (edges[se].info_bit, se[0]))
 
     def test_table_axis(self):
-        # the decoder's stage-major table puts the 4 entries on axis 1
+        # the decoder's stage-major table puts the 2 entries on axis 1
         lu, lc2 = np.random.default_rng(26).normal(0, 3, (2, 5, 6, 7))
         table = compute_branch_metrics(lu, lc2, axis=1)
-        assert table.shape == (5, 4, 6, 7) and table.flags.c_contiguous
+        assert table.shape == (5, 2, 6, 7) and table.flags.c_contiguous
         assert np.array_equal(table, np.moveaxis(compute_branch_metrics(lu, lc2), -1, 1))
+        assert np.array_equal(table[:, 0], lu + lc2)
+        assert np.array_equal(table[:, 1], lc2 - lu)
 
 
 def stage_step(prev, gamma_table, direction, mode):
@@ -230,6 +261,24 @@ class TestSisoDecode:
         assert log[0].stored_values_per_block == 7 * n
         assert log[0].data.shape == (n, 7)
 
+    def test_peak_memory_is_the_store_the_table_and_the_llrs(self):
+        # 7n stored metrics, the 2n-value branch-metric table and the
+        # n stage-major LLRs per block, plus one block-sized array for the
+        # per-stage registers; the table and the store are freed before
+        # the LLRs are copied out block-major beside the extrinsics
+        n, blocks = 1024, 32
+        lu, lc2 = np.random.default_rng(29).normal(0, 3, (2, blocks, n))
+        inp = SisoInput(lu=lu, lc2=lc2, tail_lu=lu[:, :3], tail_lc2=lc2[:, :3])
+        cfg = config_for(MaxStarMode.LOG_MAP)
+        siso_decode(inp, cfg)
+        tracemalloc.start()
+        try:
+            siso_decode(inp, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (7 + 2 + 1 + 1) * 8 * n * blocks
+
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="shape"):
             SisoInput(lu=np.zeros(8), lc2=np.zeros(9))
@@ -318,8 +367,11 @@ class TestSisoDecode:
             res = siso_decode(SisoInput(lu=lu, lc2=lc2),
                               config_for(MaxStarMode.MAX_LOG, window_len=16))
         assert len(log) == 1
-        assert log[0].data.shape == (48, 2, 3, 7)
+        assert log[0].data.shape == (48, 7, 2, 3)
+        assert log[0].data.flags.c_contiguous
         assert log[0].stored_values_per_block == 7 * 48
+        # slab 0 is stage 0: states 1..7 of every block are unreachable
+        assert (log[0].data[0] == METRIC_NEG_INF).all()
         assert res.llr_out.shape == (2, 3, 40)
 
 
@@ -439,6 +491,79 @@ class TestWindowReference:
             else:
                 assert res.llr_out[i].tobytes() == want.tobytes()
                 assert res.extrinsic[i].tobytes() == (want - inp.lu[i]).tobytes()
+
+
+BATCH_SHAPES = [(), (1,), (3,), (2, 3)]
+
+
+def pinned_cases():
+    """The fixed siso_decode cases of TestPinnedOutputs: (input, window,
+    acquisition) triples.  Every n in 1..59 and each batch shape comes
+    up; about 30% of the cases run without windows, 30% acquire over 0
+    stages and 20% have no tail.  The LLRs cycle through a 2**-6 grid,
+    Gaussian values and the 6:2 quantizer's grid, whose rounding gives
+    exact +0.0 and -0.0 entries (and lu == lc2 stages)."""
+    rng = np.random.default_rng(1501)
+    for i in range(420):
+        n = 1 + 7 * i % 59
+        batch = BATCH_SHAPES[i % 4]
+        grid = i % 3
+
+        def stream(length):
+            x = rng.normal(0, 4, batch + (length,))
+            if grid == 0:
+                return np.round(x * 64) / 64
+            return x if grid == 1 else quantize_llrs(x / 2, 6, 2)
+
+        lu, lc2 = stream(n), stream(n)
+        tail = {} if rng.random() < 0.2 else dict(tail_lu=stream(3), tail_lc2=stream(3))
+        window = None if rng.random() < 0.3 else int(rng.integers(1, n + 1))
+        acq = 0 if rng.random() < 0.3 else int(rng.integers(1, n + 5))
+        yield SisoInput(lu=lu, lc2=lc2, **tail), window, acq
+
+
+def outputs_digest(mode):
+    """sha256 of every pinned case's llr_out and extrinsic bytes."""
+    digest = hashlib.sha256()
+    for inp, window, acq in pinned_cases():
+        res = siso_decode(inp, config_for(mode, window_len=window, acquisition_len=acq))
+        digest.update(res.llr_out.tobytes())
+        digest.update(res.extrinsic.tobytes())
+    return digest.hexdigest()
+
+
+class TestPinnedOutputs:
+    """Byte-identity regression pins: a schedule or layout change must
+    not move a single output bit.  The kernels pinned here use only IEEE
+    add, subtract, max, compare and multiply, so their bytes do not
+    depend on the CPU.  Log-map is not pinned: numpy's vectorised exp and
+    log1p round differently across CPUs (TestWindowReference holds it to
+    the libm oracle within 1e-9)."""
+
+    @pytest.mark.parametrize("mode, want", [
+        (MaxStarMode.MAX_LOG,
+         "1c4cc0eeab9c146cc47a48dd838981fb2e51843255bdffb75aff0bd0e0e8c995"),
+        (MaxStarMode.CONSTANT_LOG,
+         "3b7a09d21d47a738fdc6a3d883011bc4ad300e5784866bc8de2b388530d3b73b"),
+        (MaxStarMode.LINEAR_LOG,
+         "7a2146b3b9a96c2f24bd93fee4e43bcdd007d1ec550a5e1259e70ec2e33f5b84"),
+    ], ids=["max-log", "constant", "linear"])
+    def test_outputs_match_pinned_digest(self, mode, want):
+        assert outputs_digest(mode) == want
+
+    def test_cases_cover_the_stated_shapes(self):
+        cases = list(pinned_cases())
+        assert len(cases) == 420
+        assert {inp.n for inp, _, _ in cases} == set(range(1, 60))
+        assert {inp.batch_shape for inp, _, _ in cases} == set(BATCH_SHAPES)
+        assert {inp.tail_lu is None for inp, _, _ in cases} == {True, False}
+        assert any(w is None for _, w, _ in cases)
+        # windows that split the block, with and without acquisition
+        assert {acq == 0 for inp, w, acq in cases
+                if w is not None and w < inp.n} == {True, False}
+        lu = np.concatenate([inp.lu.ravel() for inp, _, _ in cases])
+        zeros = lu[lu == 0.0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
 
 
 class TestQuantize:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,35 @@ class TestTurboDecode:
         config = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=4, qpp=QPP40,
                                quantization=(6, 2))
         assert np.array_equal(turbo_decode(ch, config).hard_bits, bits)
+
+
+def traced_peak(fn):
+    """Peak bytes numpy and Python allocate while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_decode_batch_peak_is_bounded_by_the_live_arrays(self):
+        # What a decode batch must hold at its peak, inside decoder 2:
+        # the forward store (7n values per block) and the branch-metric
+        # table (2n), plus three block-sized arrays -- decoder 2's input,
+        # ext1 (read again for the combined LLRs) and the SISO's LLR rows
+        # -- and a fourth for the per-stage registers and gathers.  The
+        # channel LLRs are the caller's.  A stale buffer beside a SISO
+        # call (a pre-interleaved lu, a per-iteration combined, the last
+        # a-priori or extrinsic vector) or a four-entry table breaks it.
+        n, blocks = 1024, 32
+        qpp = params_for_block_size(n)
+        _, ch = simulate_blocks(qpp, noise_variance=0.8, seed=34, lo=0, hi=blocks)
+        config = DecoderConfig(mode=MaxStarMode.LOG_MAP, iterations=2, qpp=qpp)
+        turbo_decode(ch, config)   # one-time allocations are not the decode's
+        block = 8 * n * blocks
+        assert traced_peak(lambda: turbo_decode(ch, config)) <= (7 + 2 + 4) * block
 
 
 class TestMonteCarlo:
