@@ -17,8 +17,10 @@ Exit codes (each error prints one `turbosim:` line on stderr):
   4  malformed SNR point or range: not a number, not finite, beyond
      +-1000 dB, a range of more than 10000 points, or (bench) more
      than one point
-  5  unwritable output path (found before any block is decoded), or a
-     config file that cannot be read or is not UTF-8 text
+  5  unwritable output path (a path that cannot be opened is found
+     before any block is decoded; a write that fails, say on a full
+     disk, ends the run when it happens), or a config file that cannot
+     be read or is not UTF-8 text
   6  bad option value: unknown --alg, (bench) an --alg that names an
      algorithm twice, malformed --quant, --iters < 1, --window-len < 1,
      --acq-len < 0, --blocks < 1, --seed outside [0, 2**64), a
@@ -28,7 +30,7 @@ Exit codes (each error prints one `turbosim:` line on stderr):
 
 import argparse
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 
 from .maxstar import MaxStarMode
 from .qpp import params_for_block_size, permutation
@@ -183,13 +185,19 @@ def _effective(args, file_values):
     return merged
 
 
+@contextmanager
 def _open_out(path):
-    if path is None:
-        return nullcontext(sys.stdout)
+    """The output file (stdout for None); an OSError from opening it,
+    writing to it or closing (for stdout, flushing) it ends in exit code 5."""
     try:
-        return open(path, "w")
+        if path is None:
+            yield sys.stdout
+            sys.stdout.flush()
+        else:
+            with open(path, "w") as fh:
+                yield fh
     except OSError as exc:
-        raise _CliError(EXIT_BAD_OUTPUT, f"cannot write output: {exc}")
+        raise _CliError(EXIT_BAD_OUTPUT, f"cannot write output: {exc}") from None
 
 
 def _decoder_config(opts, mode):

@@ -4,15 +4,15 @@ The decoder is the usual forward/backward recursion over the 8-state
 trellis with a selectable max* kernel.  The implementation follows a few
 cost-saving conventions throughout:
 
-* Branch metrics.  Each trellis stage has 16 edge metrics but only four
-  distinct values g1, g2, -g2, -g1 (see trellis module), and only g1
-  and g2 are stored: a (2, ...) table per stage.  The two edges of
-  every state carry +g and -g of the same entry, so a stage step adds
-  g[K] on one edge and subtracts it on the other (the wiring of
-  _signed_wiring).  This changes no bit against a four-entry table:
-  x - g is bitwise x + (-g), and no metric is ever -0.0 (they start
-  at +0.0 or the sentinel, and normalizing gives +0.0), so which edge
-  comes first in a max* call makes no difference.
+* Branch metrics.  Only g1 = lu + lc2 and g2 = lc2 - lu are stored: a
+  (2, ...) table per stage.  An edge's metric u*lu + c2*lc2 is
+  c2*g[K], K = 0 when u == c2 and K = 1 otherwise, and _edge_wiring
+  reads each edge's (sign, K) off its labels.  The two edges of every
+  state carry +g[K] and -g[K], so a stage step adds g[K] on one edge
+  and subtracts it on the other.  That changes no bit against a table
+  that also stores -g: x - g is bitwise x + (-g), and no metric is ever
+  -0.0 (they start at +0.0 or the sentinel, and normalizing gives
+  +0.0), so which edge comes first in a max* call makes no difference.
 
 * Normalization.  After every stage the state-0 metric is subtracted
   from all eight, always.  Every max* variant is shift-equivariant, so
@@ -93,30 +93,6 @@ from .maxstar import METRIC_NEG_INF, MaxStarMode, max_star, max_star_reduce
 from .trellis import lte_trellis
 
 _LLR_LIMIT = 1.0e250   # largest |LLR| a SisoInput accepts; see METRIC_NEG_INF
-_TRELLIS = lte_trellis()
-
-
-def _signed_wiring(states, gamma_idx):
-    """One recursion direction's wiring from the trellis tables.
-
-    states, gamma_idx are (8, 2): per state, its two edges' far states
-    and their indices into [g1, g2, -g2, -g1].  The two edges of a state
-    always carry +g[K] and -g[K] (indices K and 3 - K, K in {0, 1}).
-    Returns the far states (2, 8), row 0 the +g edges and row 1 the -g
-    edges, and K (8,), an index into the table [g1, g2].
-    """
-    plus = gamma_idx < 2
-    return np.array([states[plus], states[~plus]]), gamma_idx[plus]
-
-
-_FWD = _signed_wiring(_TRELLIS.fwd_prev, _TRELLIS.fwd_gamma_idx)
-_BWD = _signed_wiring(_TRELLIS.bwd_next, _TRELLIS.bwd_gamma_idx)
-# The backward butterfly's 16 edges, row * 8 + start state in its (2, 8)
-# gathers, in the LLR folds' order: the eight u=0 edges by start state,
-# then the u=1 edges, so each fold reads one contiguous half.
-_EDGE_BIT = {(e.start_state, e.end_state): e.info_bit for e in _TRELLIS.edges}
-_LLR_EDGES = np.array([row * 8 + s for bit in (0, 1) for s in range(8) for row in (0, 1)
-                       if _EDGE_BIT[s, _BWD[0][row, s]] == bit])
 
 
 @dataclass
@@ -167,7 +143,7 @@ def compute_branch_metrics(lu, lc2, axis: int = -1) -> np.ndarray:
 
     g1 = lu + lc2 and g2 = lc2 - lu; the table's 2-entry axis is `axis`
     of the result (last by default).  Every edge's metric is +g1, -g1,
-    +g2 or -g2; the decoder's wiring says which (see _signed_wiring).
+    +g2 or -g2; _edge_wiring says which.
     """
     lu = np.asarray(lu, dtype=np.float64)
     lc2 = np.asarray(lc2, dtype=np.float64)
@@ -179,6 +155,31 @@ def compute_branch_metrics(lu, lc2, axis: int = -1) -> np.ndarray:
     np.add(lu, lc2, out=g[0, ...])
     np.subtract(lc2, lu, out=g[1, ...])
     return table
+
+
+def _edge_wiring(edges):
+    """_FWD, _BWD and _LLR_EDGES from the edges' (u, c2) labels.
+
+    An edge's metric is c2*g[K], K = 0 when u == c2 and 1 otherwise; both
+    edges of a state share K.  _FWD and _BWD are (far (2, 8), K (8,)):
+    per end state (forward) or start state (backward), far[0] is the far
+    state of its c2 = +1 edge and far[1] that of its c2 = -1 edge.
+    _LLR_EDGES lists the backward gathers' edges, row * 8 + start state,
+    in the folds' order: u=0 first, each half by start state.  A u=0
+    edge has c2 = +1 exactly when K = 0, so it sits in row K.
+    """
+    far = np.zeros((2, 2, 8), dtype=np.intp)   # direction, row, state
+    k = np.zeros((2, 8), dtype=np.intp)
+    for e in edges:
+        for d, (state, other) in enumerate([(e.end_state, e.start_state),
+                                            (e.start_state, e.end_state)]):
+            far[d, e.parity_bit, state] = other
+            k[d, state] = e.u != e.c2
+    llr_edges = (8 * np.array([k[1], 1 - k[1]]) + np.arange(8)).ravel()
+    return (far[0], k[0]), (far[1], k[1]), llr_edges
+
+
+_FWD, _BWD, _LLR_EDGES = _edge_wiring(lte_trellis().edges)
 
 
 def _butterfly(cand, g, mode):
@@ -288,8 +289,8 @@ class SisoInput:
 
     lu   (..., n)  systematic-plus-a-priori LLRs; multiplies the u label.
                    The first coded stream of a systematic code is the
-                   information bit itself (c1 == u on every edge), so its
-                   channel LLRs are part of lu.
+                   information bit itself, so its channel LLRs are part
+                   of lu.
     lc2  (..., n)  second-coded-stream LLRs: the parity stream.
     tail_lu, tail_lc2  (..., 3)  the same two streams for the termination
                    stages.  Give both or neither; leave both None for a

@@ -13,14 +13,12 @@ packed as s = r1*4 + r2*2 + r3.  The encoder starts in state 0 and three
 tail bits drive it back to state 0.
 
 Edge labels are bipolar (bit 0 -> +1, bit 1 -> -1) so they multiply LLRs
-directly.  Each edge carries three labels: u for the information bit, c1
-for the first coded stream and c2 for the second.  For a systematic code
-the first coded stream is the information bit itself, so c1 == u on every
-edge; c2 is the parity bit.  That is what collapses the 16 branch metrics
-to four values g1, -g1, g2, -g2: the first coded stream's LLRs are part
-of lu, and an edge's metric is +-lu +- lc2.  The two edges of each state
-carry opposite values, so the decoder stores only g1 and g2 (see
-siso.compute_branch_metrics) and adds or subtracts them.
+directly.  Each edge carries two labels: u for the information bit and
+c2 for the parity bit.  The code is systematic, so the first coded
+stream is the information bit itself: its channel LLRs join the
+a-priori LLRs in lu, and an edge's metric is u*lu + c2*lc2.  The decoder
+reads only these labels and the edges' states: siso._edge_wiring
+derives its wiring from them.
 """
 
 from dataclasses import dataclass
@@ -51,8 +49,7 @@ class TrellisEdge:
     start_state: int
     end_state: int
     u: int    # bipolar information label
-    c1: int   # bipolar first-coded-stream label (= u for this systematic code)
-    c2: int   # bipolar second-coded-stream label (the parity bit)
+    c2: int   # bipolar parity label
 
     @property
     def info_bit(self) -> int:
@@ -64,7 +61,7 @@ class TrellisEdge:
 
 
 class TrellisSpec:
-    """The 16-edge trellis plus precomputed decoder wiring tables.
+    """The 16-edge trellis.
 
     Attributes
     ----------
@@ -72,52 +69,18 @@ class TrellisSpec:
     initial_state : int
     edges : tuple of TrellisEdge
         All 16 edges, ordered by (start_state, info bit).
-    fwd_prev, fwd_gamma_idx : (8, 2) int arrays
-        For each end state, its two predecessor states and, per incoming
-        edge, an index into the metric values [g1, g2, -g2, -g1].  The
-        decoder's table holds only [g1, g2]; siso._signed_wiring turns
-        each pair of indices (K, 3 - K) into +g[K] and -g[K].
-    bwd_next, bwd_gamma_idx : (8, 2) int arrays
-        Same wiring read in the other direction: per start state, its two
-        successor states and the matching metric indices.
-    edge_start, edge_end, edge_gamma_idx, edge_info : (16,) int arrays
-        Flat per-edge views used by the LLR computation.
     """
 
     def __init__(self):
+        self.num_states = NUM_STATES
+        self.initial_state = 0
         edges = []
         for s in range(NUM_STATES):
             for bit in (0, 1):
                 ns, parity = _rsc_step(s, bit)
-                edges.append(TrellisEdge(
-                    start_state=s, end_state=ns,
-                    u=_bipolar(bit), c1=_bipolar(bit), c2=_bipolar(parity)))
-        self.num_states = NUM_STATES
-        self.initial_state = 0
+                edges.append(TrellisEdge(start_state=s, end_state=ns,
+                                         u=_bipolar(bit), c2=_bipolar(parity)))
         self.edges = tuple(edges)
-
-        # gamma value index per (u, c2) sign pattern, into [g1, g2, -g2, -g1]:
-        # (+,+) -> g1, (-,+) -> g2, (+,-) -> g3 = -g2, (-,-) -> g4 = -g1.
-        def gamma_idx(e):
-            return {(1, 1): 0, (-1, 1): 1, (1, -1): 2, (-1, -1): 3}[(e.u, e.c2)]
-
-        self.edge_start = np.array([e.start_state for e in edges])
-        self.edge_end = np.array([e.end_state for e in edges])
-        self.edge_gamma_idx = np.array([gamma_idx(e) for e in edges])
-        self.edge_info = np.array([e.info_bit for e in edges])
-
-        fwd = [[] for _ in range(NUM_STATES)]
-        bwd = [[] for _ in range(NUM_STATES)]
-        for e in edges:
-            fwd[e.end_state].append((e.start_state, gamma_idx(e)))
-            bwd[e.start_state].append((e.end_state, gamma_idx(e)))
-        for rows in (fwd, bwd):
-            for r in rows:
-                r.sort()
-        self.fwd_prev = np.array([[p for p, _ in r] for r in fwd])
-        self.fwd_gamma_idx = np.array([[g for _, g in r] for r in fwd])
-        self.bwd_next = np.array([[n for n, _ in r] for r in bwd])
-        self.bwd_gamma_idx = np.array([[g for _, g in r] for r in bwd])
 
 
 @lru_cache(maxsize=1)
@@ -150,29 +113,31 @@ def rsc_encode(bits) -> RscCodeword:
 
     The encoder starts in state 0.  Encoding of the information section
     is linear over GF(2); the tail depends affinely on the final state.
+    No loop runs over the bits: the register's internal bits are
+    w = x / (1 + D^2 + D^3) = x (1 + D^2 + D^3 + D^4) / (1 + D^7), a
+    fixed filter followed by a stride-7 XOR prefix, and the parity is
+    w (1 + D + D^3).
     """
     bits = np.asarray(bits)
     if bits.ndim == 0 or bits.shape[-1] < 1:
         raise ValueError("need at least one information bit")
-    bits = bits.astype(np.uint8)
     lead = bits.shape[:-1]
     n = bits.shape[-1]
+    m = -(-n // 7) * 7   # n rounded up to whole rows of 7
 
-    r1 = np.zeros(lead, dtype=np.uint8)
-    r2 = np.zeros(lead, dtype=np.uint8)
-    r3 = np.zeros(lead, dtype=np.uint8)
-    parity = np.empty_like(bits)
-    for k in range(n):
-        internal = bits[..., k] ^ r2 ^ r3
-        parity[..., k] = internal ^ r1 ^ r3
-        r1, r2, r3 = internal, r1, r2
+    x = np.zeros(lead + (4 + m,), dtype=np.uint8)   # four zero bits before bit 0
+    x[..., 4:4 + n] = bits
+    y = x[..., 4:] ^ x[..., 2:-2] ^ x[..., 1:-3] ^ x[..., :-4]
+    w = np.zeros(lead + (3 + n,), dtype=np.uint8)   # three zero bits before w[0]
+    w[..., 3:] = np.bitwise_xor.accumulate(
+        y.reshape(lead + (m // 7, 7)), axis=-2).reshape(lead + (m,))[..., :n]
+    parity = w[..., 3:] ^ w[..., 2:-1] ^ w[..., :-3]
 
-    tail_info = np.empty(lead + (3,), dtype=np.uint8)
-    tail_parity = np.empty(lead + (3,), dtype=np.uint8)
-    for k in range(3):
-        tail_info[..., k] = r2 ^ r3          # makes the internal bit 0
-        tail_parity[..., k] = r1 ^ r3
-        r1, r2, r3 = np.zeros_like(r1), r1, r2
+    # the final register (r1, r2, r3) = (w[n-1], w[n-2], w[n-3]); each
+    # tail bit makes the internal bit 0, so the register shifts in zeros
+    r1, r2, r3 = w[..., -1], w[..., -2], w[..., -3]
+    tail_info = np.stack([r2 ^ r3, r1 ^ r2, r1], axis=-1)
+    tail_parity = np.stack([r1 ^ r3, r2, r1], axis=-1)
     return RscCodeword(parity=parity, tail_info=tail_info, tail_parity=tail_parity)
 
 

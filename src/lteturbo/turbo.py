@@ -11,6 +11,12 @@ of iterations the decision statistic is
 
 and hard_bits[k] = 1 where final_llr[k] < 0 (positive LLR means bit 0).
 
+A constituent decoder's lu input is the systematic LLRs plus an
+exchanged extrinsic, and SisoInput accepts |LLR| <= 1e250.  turbo_decode
+rejects systematic LLRs beyond half that bound and saturates every
+exchanged extrinsic at that half, so no number of iterations can push
+an input past the bound.
+
 All decode entry points accept a leading batch axis on the LLR arrays;
 the Monte-Carlo helper below relies on it.
 """
@@ -26,8 +32,10 @@ from .channel import KEY_LIMIT, ChannelConfig, ChannelLlrs, block_rng, \
     rekey_block_rng, serialize_codeword, split_llrs
 from .maxstar import MaxStarMode
 from .qpp import QppParams, inverse_permutation, permutation
-from .siso import OpCounts, SisoInput, quantize_llrs, siso_decode
+from .siso import _LLR_LIMIT, OpCounts, SisoInput, quantize_llrs, siso_decode
 from .trellis import turbo_encode
+
+_EXCHANGE_LIMIT = 0.5 * _LLR_LIMIT   # see the module docstring
 
 
 @dataclass(frozen=True)
@@ -90,6 +98,11 @@ def _quantizer(config: DecoderConfig):
     return lambda x: quantize_llrs(x, bits, frac)
 
 
+def _saturate(x):
+    """x clipped in place to +-_EXCHANGE_LIMIT."""
+    return np.clip(x, -_EXCHANGE_LIMIT, _EXCHANGE_LIMIT, out=x)
+
+
 def turbo_decode(ch: ChannelLlrs, config: DecoderConfig,
                  trace_iterations: bool = False) -> DecodeResult:
     """Run config.iterations full iterations.
@@ -109,6 +122,8 @@ def turbo_decode(ch: ChannelLlrs, config: DecoderConfig,
     ip = inverse_permutation(qpp)
 
     lu = quant(ch.lu)
+    if not np.abs(lu).max(initial=0.0) <= _EXCHANGE_LIMIT:   # NaN fails the <= too
+        raise ValueError(f"systematic LLRs must be finite and within +-{_EXCHANGE_LIMIT:g}")
     parity1 = quant(ch.parity1)
     parity2 = quant(ch.parity2)
     t1i, t1p = quant(ch.tail1_info), quant(ch.tail1_parity)
@@ -126,12 +141,12 @@ def turbo_decode(ch: ChannelLlrs, config: DecoderConfig,
         s1 = siso_decode(SisoInput(lu=np.add(lu, apriori, out=apriori), lc2=parity1,
                                    tail_lu=t1i, tail_lc2=t1p), config)
         del apriori
-        ext1 = quant(s1.extrinsic)
+        ext1 = quant(_saturate(s1.extrinsic))
         ops += s1.ops
         del s1
         s2 = siso_decode(SisoInput(lu=(lu + ext1)[..., pi], lc2=parity2,
                                    tail_lu=t2i, tail_lc2=t2p), config)
-        apriori = quant(s2.extrinsic)[..., ip]
+        apriori = quant(_saturate(s2.extrinsic))[..., ip]
         ops += s2.ops
         del s2
         if trace is not None or i == config.iterations:

@@ -100,16 +100,16 @@ def exhaustive_llrs(lu, lc2, tail_lu, tail_lc2, lc1=None, tail_lc1=None,
     return np.array(llrs)
 
 
-def naive_state_update(trellis, prev_metrics, g1, g2, direction, max_star_fn):
-    """State-metric update looping all 16 edges of the trellis spec."""
-    gamma_values = [g1, g2, -g2, -g1]
+def naive_state_update(trellis, prev_metrics, lu, lc2, direction, max_star_fn):
+    """State-metric update looping all 16 edges of the trellis spec; each
+    edge's metric u*lu + c2*lc2 comes from its own labels."""
     best = [None] * trellis.num_states
-    for edge, gidx in zip(trellis.edges, trellis.edge_gamma_idx):
+    for edge in trellis.edges:
         if direction == "forward":
             src, dst = edge.start_state, edge.end_state
         else:
             src, dst = edge.end_state, edge.start_state
-        cand = prev_metrics[src] + gamma_values[gidx]
+        cand = prev_metrics[src] + (edge.u * lu + edge.c2 * lc2)
         best[dst] = cand if best[dst] is None else max_star_fn(best[dst], cand)
     return np.array(best, dtype=float)
 

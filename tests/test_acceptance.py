@@ -23,7 +23,8 @@ from lteturbo.channel import ChannelConfig, bpsk_modulate, llr_demap
 from lteturbo.cli import main as cli_main
 from lteturbo.maxstar import (CONSTANT_C, CONSTANT_T, LINEAR_A, LINEAR_T,
                               MaxStarMode, max_star)
-from lteturbo.qpp import block_sizes, params_for_block_size, qpp_index
+from lteturbo.qpp import (block_sizes, inverse_permutation, params_for_block_size,
+                          permutation, qpp_index)
 from lteturbo.siso import SisoInput, siso_decode, track_metric_allocations
 from lteturbo.trellis import rsc_encode
 from lteturbo.turbo import (DecoderConfig, ber_vs_iterations, run_monte_carlo,
@@ -92,6 +93,27 @@ def test_c2_qpp_validity():
     report("C2 QPP validity", True,
            "188/188 sizes bijective with f1 odd, f2 even; f(1)=13 at n=40, "
            "f(1)=743 at n=6144")
+
+
+def test_c2b_qpp_contention_free():
+    """Contention-free memory access, the paper's reason for the QPP: for
+    every window count P dividing n, stage j of the P windows of length
+    M = n/P lies in P distinct windows after interleaving, and after
+    deinterleaving, so P SISO units stepping together never read one
+    window's memory twice in a step (Takeshita, IEEE Trans. IT 2006)."""
+    splits = 0
+    for n in block_sizes():
+        qpp = params_for_block_size(n)
+        perms = (permutation(qpp), inverse_permutation(qpp))
+        for P in (p for p in range(2, n + 1) if n % p == 0):   # one window cannot contend
+            M = n // P
+            for perm in perms:
+                windows = np.sort(perm.reshape(P, M) // M, axis=0)   # column j: stage j
+                assert (np.diff(windows, axis=0) > 0).all(), (n, P)
+            splits += 1
+    assert splits == 3194
+    report("C2b QPP contention-free", True,
+           f"{splits} (n, P) splits of the 188 sizes, interleaver and deinterleaver")
 
 
 def test_c3_op_count_reproduction():

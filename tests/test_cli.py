@@ -100,6 +100,34 @@ class TestBer:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("turbosim: cannot write")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["ber", "--snr-db", "1"], ["bench", "--alg", "max-log"],
+        ["interleave"]], ids=["ber", "bench", "interleave"])
+    def test_failed_write_exit_code(self, capsys, argv):
+        # /dev/full opens, so only the write or the close fails
+        extra = [] if argv[0] == "interleave" else ["--iters", "1", "--blocks", "1"]
+        assert main(argv + ["--n", "40", "--out", "/dev/full"] + extra) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("turbosim: cannot write output")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["ber", "--snr-db", "1", "--iters", "1", "--blocks", "1"], ["interleave"]],
+        ids=["ber", "interleave"])
+    def test_failed_stdout_write_exit_code(self, argv):
+        # a whole process, so the interpreter's own flush of stdout at
+        # exit is covered too
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "lteturbo.cli", *argv, "--n", "40"],
+                stdout=full, stderr=subprocess.PIPE, text=True,
+                env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 5
+        assert proc.stderr.splitlines() == [
+            "turbosim: cannot write output: [Errno 28] No space left on device"]
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("n=40\nalg=max-log\niters=1\nsnr-db=10\nblocks=2\nseed=1\n")

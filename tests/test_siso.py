@@ -116,7 +116,7 @@ class TestButterflyUpdate:
             prev = rng.normal(0, 10, 8)
             lu, lc2 = rng.normal(0, 5, 2)
             got = stage_step(prev, compute_branch_metrics(lu, lc2), direction, mode)
-            want = naive_state_update(tr, prev, lu + lc2, lc2 - lu, direction, fn)
+            want = naive_state_update(tr, prev, lu, lc2, direction, fn)
             np.testing.assert_allclose(got, want - want[0], atol=1e-12)
 
 

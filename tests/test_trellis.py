@@ -31,24 +31,17 @@ class TestTrellisStructure:
         active = [e for e in tr.edges if e.start_state == 0 and e.info_bit == 1][0]
         assert active.end_state != 0 and active.parity_bit == 1
 
-    def test_systematic_label_equals_info_label(self):
-        assert all(e.c1 == e.u for e in lte_trellis().edges)
-
     def test_butterfly_sign_structure(self):
-        # within each butterfly the u=+1 edges carry branch metrics of
-        # opposite sign to the u=-1 edges: gamma index pairs (g1, g4) or
-        # (g3, g2), i.e. {0, 3} or {2, 1}
+        # within each butterfly -- two start states sharing their two end
+        # states -- every edge has the same u*c2, so the u=+1 edges carry
+        # one branch metric (g1 or -g2) and the u=-1 edges its negation
         tr = lte_trellis()
         for starts in [(2 * t, 2 * t + 1) for t in range(4)]:
-            leaving = [(e, g) for e, g in zip(tr.edges, tr.edge_gamma_idx)
-                       if e.start_state in starts]
-            # a butterfly: two start states sharing their two end states
-            assert len({e.end_state for e, _ in leaving}) == 2
-            idx = {}
-            for e, g in leaving:
-                idx.setdefault(e.u, set()).add(int(g))
-            assert idx[1] in ({0}, {2})
-            assert idx[-1] == {3 - next(iter(idx[1]))}
+            leaving = [e for e in tr.edges if e.start_state in starts]
+            assert len(leaving) == 4
+            assert len({e.end_state for e in leaving}) == 2
+            labels = {(e.u, e.c2) for e in leaving}
+            assert labels in ({(1, 1), (-1, -1)}, {(1, -1), (-1, 1)})
 
     def test_edges_match_reference_simulator(self):
         tr = lte_trellis()
@@ -97,6 +90,22 @@ class TestRscEncode:
             assert out.tail_info.tolist() == ref_ti
             assert out.tail_parity.tolist() == ref_tp
             assert states[-1] == 0  # tail terminates every block
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6144), lead=st.sampled_from([(), (1,), (3,), (2, 2)]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_reference_for_any_length_and_batch(self, n, lead, seed):
+        # the loop-free encoder against the bit-level shift register, for
+        # every block length the code supports and any leading axes
+        bits = np.random.default_rng(seed).integers(0, 2, lead + (n,), dtype=np.uint8)
+        out = rsc_encode(bits)
+        assert out.parity.shape == bits.shape
+        assert out.tail_info.shape == out.tail_parity.shape == lead + (3,)
+        for idx in np.ndindex(lead):
+            ref_parity, ref_ti, ref_tp, _ = ref_rsc_encode(bits[idx].tolist())
+            assert out.parity[idx].tolist() == ref_parity
+            assert out.tail_info[idx].tolist() == ref_ti
+            assert out.tail_parity[idx].tolist() == ref_tp
 
     def test_gf2_linearity(self):
         rng = np.random.default_rng(3)

@@ -89,6 +89,22 @@ class TestTurboDecode:
         assert not res.hard_bits.any()
         assert (res.final_llrs > 0).all()
 
+    def test_huge_llrs_decode_without_leaving_the_siso_bound(self):
+        # the exchanged extrinsics grow with the iterations; unsaturated,
+        # decoder 2's lu input left SisoInput's 1e250 bound mid-decode
+        qpp = params_for_block_size(1024)
+        ch = noiseless_llrs(np.zeros(1024, dtype=np.uint8), qpp, magnitude=1e249)
+        res = turbo_decode(ch, DecoderConfig(iterations=4, qpp=qpp))
+        assert not res.hard_bits.any()
+        assert np.isfinite(res.final_llrs).all() and (res.final_llrs > 0).all()
+
+    @pytest.mark.parametrize("bad", [5.1e249, -1e250, np.inf, np.nan])
+    def test_rejects_systematic_llrs_beyond_half_the_siso_bound(self, bad):
+        ch = noiseless_llrs(np.zeros(40, dtype=np.uint8), QPP40)
+        ch.lu[3] = bad
+        with pytest.raises(ValueError, match=r"systematic LLRs must be finite and within \+-5e\+249"):
+            turbo_decode(ch, DecoderConfig(iterations=1, qpp=QPP40))
+
     def test_hard_decision_rule(self):
         bits, ch = noisy_llrs(QPP40, snr_db=3.0, seed=30)
         res = turbo_decode(ch, DecoderConfig(mode=MaxStarMode.LOG_MAP,
