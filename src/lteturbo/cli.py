@@ -29,6 +29,7 @@ Exit codes (each error prints one `turbosim:` line on stderr):
 """
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 
@@ -197,6 +198,12 @@ def _open_out(path):
             with open(path, "w") as fh:
                 yield fh
     except OSError as exc:
+        if path is None:
+            # stdout keeps the bytes it could not write, and the
+            # interpreter flushes it again at exit; send them to devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         raise _CliError(EXIT_BAD_OUTPUT, f"cannot write output: {exc}") from None
 
 

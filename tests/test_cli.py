@@ -111,22 +111,44 @@ class TestBer:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("turbosim: cannot write output")
 
+    @staticmethod
+    def _run_cli(argv, stdout, buffered):
+        # a whole process, so the interpreter's own flush of stdout at
+        # exit is covered too; a buffered stdout still holds the bytes it
+        # could not write when that flush runs
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.run(
+            [sys.executable, "-m", "lteturbo.cli", *argv, "--n", "40"],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("argv", [
         ["ber", "--snr-db", "1", "--iters", "1", "--blocks", "1"], ["interleave"]],
         ids=["ber", "interleave"])
-    def test_failed_stdout_write_exit_code(self, argv):
-        # a whole process, so the interpreter's own flush of stdout at
-        # exit is covered too
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    def test_failed_stdout_write_exit_code(self, argv, buffered):
         with open("/dev/full", "w") as full:
-            proc = subprocess.run(
-                [sys.executable, "-m", "lteturbo.cli", *argv, "--n", "40"],
-                stdout=full, stderr=subprocess.PIPE, text=True,
-                env=dict(os.environ, PYTHONPATH=path))
+            proc = self._run_cli(argv, full, buffered)
         assert proc.returncode == 5
         assert proc.stderr.splitlines() == [
             "turbosim: cannot write output: [Errno 28] No space left on device"]
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_pipe_exit_code(self, buffered):
+        # the reader is gone before the first byte, as when `| head` exits
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self._run_cli(["interleave"], write_end, buffered)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 5
+        assert proc.stderr.splitlines() == [
+            "turbosim: cannot write output: [Errno 32] Broken pipe"]
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "sim.cfg"
