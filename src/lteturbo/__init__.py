@@ -14,8 +14,7 @@ from .qpp import (QppParams, block_sizes, inverse_permutation,
 from .siso import (MetricMatrix, OpCounts, SisoInput, SisoResult, StageTimes,
                    compute_branch_metrics, quantize_llrs, siso_decode,
                    track_metric_allocations, track_stage_times)
-from .trellis import (CodeWord, RscCodeword, TerminationBits, TrellisEdge,
-                      TrellisSpec, lte_trellis, rsc_encode, turbo_encode)
+from .trellis import CodeWord, RscCodeword, TrellisEdge, rsc_encode, turbo_encode
 from .turbo import (DecodeResult, DecoderConfig, McResult, ber_vs_iterations,
                     run_monte_carlo, simulate_blocks, turbo_decode)
 
@@ -30,8 +29,7 @@ __all__ = [
     "MetricMatrix", "OpCounts", "SisoInput", "SisoResult", "StageTimes",
     "compute_branch_metrics", "quantize_llrs", "siso_decode",
     "track_metric_allocations", "track_stage_times",
-    "CodeWord", "RscCodeword", "TerminationBits", "TrellisEdge", "TrellisSpec",
-    "lte_trellis", "rsc_encode", "turbo_encode",
+    "CodeWord", "RscCodeword", "TrellisEdge", "rsc_encode", "turbo_encode",
     "DecodeResult", "DecoderConfig", "McResult", "ber_vs_iterations",
     "run_monte_carlo", "simulate_blocks", "turbo_decode",
 ]

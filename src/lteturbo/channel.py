@@ -17,14 +17,16 @@ Conventions, fixed so that simulation output is reproducible bit for bit:
   one generator per batch and rekey_block_rng resets it to each later
   block's key: the same streams as a fresh block_rng per block, without
   building one.
-* Codeword serialisation order (also the noise-draw order):
+* Codeword serialisation order (also the noise-draw order): the field
+  order of trellis.CodeWord, which is the transmission order,
   systematic | parity1 | parity2 | tail1 info | tail1 parity
-  | tail2 info | tail2 parity.
+  | tail2 info | tail2 parity; split_llrs cuts the LLRs into the same
+  seven streams, ChannelLlrs's fields.
 """
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -110,8 +112,9 @@ def bpsk_modulate(bits) -> np.ndarray:
 
 def llr_demap(received, noise_variance: float) -> np.ndarray:
     """Channel LLRs of BPSK over AWGN: L = 2r / sigma^2."""
-    if noise_variance <= 0:
-        raise ValueError(f"noise variance must be positive, got {noise_variance}")
+    if not 0 < noise_variance < math.inf:
+        raise ValueError(f"noise variance must be positive and finite, "
+                         f"got {noise_variance}")
     return 2.0 * np.asarray(received, dtype=np.float64) / noise_variance
 
 
@@ -138,9 +141,7 @@ class ChannelLlrs:
 
 def serialize_codeword(cw: CodeWord) -> np.ndarray:
     """Flatten a code word to its (..., 3n+12) transmission order."""
-    return np.concatenate([cw.systematic, cw.parity1, cw.parity2,
-                           cw.tail.enc1_info, cw.tail.enc1_parity,
-                           cw.tail.enc2_info, cw.tail.enc2_parity], axis=-1)
+    return np.concatenate([getattr(cw, f.name) for f in fields(cw)], axis=-1)
 
 
 def split_llrs(llrs, n: int) -> ChannelLlrs:
@@ -149,11 +150,6 @@ def split_llrs(llrs, n: int) -> ChannelLlrs:
     if llrs.shape[-1] != 3 * n + 12:
         raise ValueError(f"expected {3 * n + 12} LLRs for block size {n}, "
                          f"got {llrs.shape[-1]}")
-    return ChannelLlrs(
-        lu=llrs[..., 0:n],
-        parity1=llrs[..., n:2 * n],
-        parity2=llrs[..., 2 * n:3 * n],
-        tail1_info=llrs[..., 3 * n:3 * n + 3],
-        tail1_parity=llrs[..., 3 * n + 3:3 * n + 6],
-        tail2_info=llrs[..., 3 * n + 6:3 * n + 9],
-        tail2_parity=llrs[..., 3 * n + 9:3 * n + 12])
+    # views at the widths n, n, n, 3, 3, 3, 3
+    return ChannelLlrs(*np.split(llrs, [n, 2 * n, 3 * n, 3 * n + 3, 3 * n + 6,
+                                        3 * n + 9], axis=-1))

@@ -33,9 +33,10 @@ import os
 import sys
 from contextlib import contextmanager
 
+from . import sim
 from .maxstar import MaxStarMode
 from .qpp import params_for_block_size, permutation
-from .sim import config_digest, run_ber_sweep, run_benchmark, write_ber_csv
+from .sim import config_digest, run_benchmark, write_ber_csv
 from .turbo import DecoderConfig
 
 EXIT_BAD_BLOCK_SIZE = 3
@@ -236,7 +237,9 @@ def _cmd_ber(opts):
     digest = config_digest(config, opts["blocks"], opts["seed"], snr_points)
     # opened first: an unwritable path fails before any block is decoded
     with _open_out(opts["out"]) as fh:
-        results = run_ber_sweep(config, snr_points, opts["blocks"], opts["seed"])
+        # looked up on sim per call, so a wrapper set there sees every point
+        results = [sim.run_ber_point(config, snr, opts["blocks"], opts["seed"])
+                   for snr in snr_points]
         write_ber_csv(fh, config, snr_points, results, opts["seed"], digest)
     return 0
 

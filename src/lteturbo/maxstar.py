@@ -102,10 +102,12 @@ def max_star(x, y, mode: MaxStarMode = MaxStarMode.LOG_MAP):
             # 1.0 * c or 0.0 * c: c where |x-y| <= T, else 0.0
             np.less_equal(t, CONSTANT_T, out=t)
             np.multiply(t, CONSTANT_C, out=t)
-        else:
+        elif mode is MaxStarMode.LINEAR_LOG:
             np.subtract(t, LINEAR_T, out=t)
             np.multiply(LINEAR_A, t, out=t)
             np.maximum(0.0, t, out=t)
+        else:
+            raise ValueError(f"mode must be a MaxStarMode, got {mode!r}")
     return np.add(m, t, out=m)
 
 

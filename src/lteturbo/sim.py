@@ -20,11 +20,6 @@ def run_ber_point(config: DecoderConfig, snr_db: float, num_blocks: int,
     return run_monte_carlo(config, snr_db, num_blocks, seed)
 
 
-def run_ber_sweep(config: DecoderConfig, snr_points, num_blocks: int,
-                  seed: int) -> list[McResult]:
-    return [run_ber_point(config, snr, num_blocks, seed) for snr in snr_points]
-
-
 # Deterministic CSV schema of the `ber` subcommand.  Timing columns are
 # deliberately absent: rows must be byte-identical across runs for a
 # fixed seed.

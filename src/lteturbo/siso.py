@@ -90,7 +90,7 @@ import numpy as np
 
 from .channel import check_integer
 from .maxstar import METRIC_NEG_INF, MaxStarMode, max_star, max_star_reduce
-from .trellis import lte_trellis
+from .trellis import EDGES
 
 _LLR_LIMIT = 1.0e250   # largest |LLR| a SisoInput accepts; see METRIC_NEG_INF
 
@@ -179,7 +179,7 @@ def _edge_wiring(edges):
     return (far[0], k[0]), (far[1], k[1]), llr_edges
 
 
-_FWD, _BWD, _LLR_EDGES = _edge_wiring(lte_trellis().edges)
+_FWD, _BWD, _LLR_EDGES = _edge_wiring(EDGES)
 
 
 def _butterfly(cand, g, mode):
@@ -398,8 +398,8 @@ def siso_decode(inp: SisoInput, config) -> SisoResult:
     n = inp.n
     batch = inp.batch_shape
     blocks = int(np.prod(batch, dtype=np.int64))
-    lanes = config.num_windows(n)
     L = n if config.window_len is None else min(config.window_len, n)
+    lanes = -(-n // L)          # windows of L stages, the last maybe shorter
     span = lanes * L            # n plus fewer than L padding stages
     rows = blocks * lanes
     acq = min(config.acquisition_len, n)   # no acquisition spans more than the block

@@ -12,27 +12,23 @@ State convention: the three register bits (r1, r2, r3), r1 most recent,
 packed as s = r1*4 + r2*2 + r3.  The encoder starts in state 0 and three
 tail bits drive it back to state 0.
 
-Edge labels are bipolar (bit 0 -> +1, bit 1 -> -1) so they multiply LLRs
-directly.  Each edge carries two labels: u for the information bit and
-c2 for the parity bit.  The code is systematic, so the first coded
-stream is the information bit itself: its channel LLRs join the
-a-priori LLRs in lu, and an edge's metric is u*lu + c2*lc2.  The decoder
-reads only these labels and the edges' states: siso._edge_wiring
-derives its wiring from them.
+EDGES is the whole trellis: its 16 edges, ordered by (start state,
+information bit).  Edge labels are bipolar (bit 0 -> +1, bit 1 -> -1) so
+they multiply LLRs directly.  Each edge carries two labels: u for the
+information bit and c2 for the parity bit.  The code is systematic, so
+the first coded stream is the information bit itself: its channel LLRs
+join the a-priori LLRs in lu, and an edge's metric is u*lu + c2*lc2.
+The decoder reads only these labels and the edges' states:
+siso._edge_wiring derives its wiring from them.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .qpp import QppParams, permutation
 
 NUM_STATES = 8
-
-
-def _bipolar(bit):
-    return 1 - 2 * int(bit)
 
 
 def _rsc_step(state: int, bit: int) -> tuple[int, int]:
@@ -52,41 +48,15 @@ class TrellisEdge:
     c2: int   # bipolar parity label
 
     @property
-    def info_bit(self) -> int:
-        return (1 - self.u) // 2
-
-    @property
     def parity_bit(self) -> int:
         return (1 - self.c2) // 2
 
 
-class TrellisSpec:
-    """The 16-edge trellis.
-
-    Attributes
-    ----------
-    num_states : int
-    initial_state : int
-    edges : tuple of TrellisEdge
-        All 16 edges, ordered by (start_state, info bit).
-    """
-
-    def __init__(self):
-        self.num_states = NUM_STATES
-        self.initial_state = 0
-        edges = []
-        for s in range(NUM_STATES):
-            for bit in (0, 1):
-                ns, parity = _rsc_step(s, bit)
-                edges.append(TrellisEdge(start_state=s, end_state=ns,
-                                         u=_bipolar(bit), c2=_bipolar(parity)))
-        self.edges = tuple(edges)
-
-
-@lru_cache(maxsize=1)
-def lte_trellis() -> TrellisSpec:
-    """The trellis of the LTE constituent code (octal 13/15, 8 states)."""
-    return TrellisSpec()
+# The 16 edges, ordered by (start state, information bit): EDGES[2*s + b]
+# leaves state s on bit b.  The encoder starts in state 0.
+EDGES = tuple(TrellisEdge(start_state=s, end_state=ns, u=1 - 2 * bit, c2=1 - 2 * parity)
+              for s in range(NUM_STATES) for bit in (0, 1)
+              for ns, parity in [_rsc_step(s, bit)])
 
 
 @dataclass(frozen=True)
@@ -142,29 +112,17 @@ def rsc_encode(bits) -> RscCodeword:
 
 
 @dataclass(frozen=True)
-class TerminationBits:
-    """The 12 tail bits, grouped as 3 info-tail + 3 parity-tail per encoder."""
-    enc1_info: np.ndarray
-    enc1_parity: np.ndarray
-    enc2_info: np.ndarray
-    enc2_parity: np.ndarray
-
-
-@dataclass(frozen=True)
 class CodeWord:
-    """Rate-1/3 turbo code word: three length-n streams plus 12 tail bits."""
+    """Rate-1/3 turbo code word: three length-n streams plus 12 tail bits,
+    3 info-tail + 3 parity-tail per constituent encoder.  The field order
+    is the transmission order (lteturbo.channel.serialize_codeword)."""
     systematic: np.ndarray
     parity1: np.ndarray
     parity2: np.ndarray
-    tail: TerminationBits
-
-    @property
-    def n(self) -> int:
-        return self.systematic.shape[-1]
-
-    @property
-    def num_transmitted_bits(self) -> int:
-        return 3 * self.n + 12
+    tail1_info: np.ndarray
+    tail1_parity: np.ndarray
+    tail2_info: np.ndarray
+    tail2_parity: np.ndarray
 
 
 def turbo_encode(bits, params: QppParams) -> CodeWord:
@@ -184,6 +142,5 @@ def turbo_encode(bits, params: QppParams) -> CodeWord:
         systematic=bits,
         parity1=enc1.parity,
         parity2=enc2.parity,
-        tail=TerminationBits(
-            enc1_info=enc1.tail_info, enc1_parity=enc1.tail_parity,
-            enc2_info=enc2.tail_info, enc2_parity=enc2.tail_parity))
+        tail1_info=enc1.tail_info, tail1_parity=enc1.tail_parity,
+        tail2_info=enc2.tail_info, tail2_parity=enc2.tail_parity)

@@ -57,6 +57,11 @@ class DecoderConfig:
     quantization: tuple[int, int] | None = None
 
     def __post_init__(self):
+        # refused here, not deep inside a decode
+        if not isinstance(self.mode, MaxStarMode):
+            raise TypeError(f"mode must be a MaxStarMode, got {self.mode!r}")
+        if not (self.qpp is None or isinstance(self.qpp, QppParams)):
+            raise TypeError(f"qpp must be a QppParams or None, got {self.qpp!r}")
         for name in ("iterations", "window_len", "acquisition_len"):
             value = getattr(self, name)
             if not (name == "window_len" and value is None):   # None: no windows
@@ -75,12 +80,6 @@ class DecoderConfig:
     @property
     def n(self) -> int | None:
         return None if self.qpp is None else self.qpp.n
-
-    def num_windows(self, n: int) -> int:
-        """Windows of an n-stage block: the lanes siso_decode runs."""
-        if self.window_len is None:
-            return 1
-        return -(-n // self.window_len)
 
 
 @dataclass
@@ -230,13 +229,13 @@ def _default_batch_size(n: int) -> int:
 
 
 def run_monte_carlo(config: DecoderConfig, snr_db: float, num_blocks: int,
-                    seed: int, *, batch_size: int | None = None,
-                    per_iteration: bool = False) -> McResult:
+                    seed: int, *, per_iteration: bool = False) -> McResult:
     """Simulate and decode num_blocks random blocks at one Eb/N0 point.
 
-    Blocks are simulated by simulate_blocks and decoded in batches of
-    batch_size, at least 1 (None: a size that bounds the batched
-    forward-metric store); block b is the same whatever the batching.
+    Blocks are simulated by simulate_blocks and decoded in batches whose
+    size follows _default_batch_size(n) alone, a size that bounds the
+    batched forward-metric store; block b is the same whatever the
+    batching.
     seed must be in [0, 2**64).  decode_s accumulates the wall time of
     the turbo_decode calls alone; generating and encoding the blocks and
     simulating the channel are not in it.
@@ -249,16 +248,13 @@ def run_monte_carlo(config: DecoderConfig, snr_db: float, num_blocks: int,
     check_key_word("seed", seed)
     n = qpp.n
     sigma2 = ChannelConfig.for_block_size(n, snr_db).noise_variance
-    if batch_size is None:
-        batch_size = _default_batch_size(n)
-    elif batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    batch = _default_batch_size(n)
     total = McResult()
     if per_iteration:
         total.per_iteration_bit_errors = np.zeros(config.iterations, dtype=np.int64)
 
-    for lo in range(0, num_blocks, batch_size):
-        hi = min(lo + batch_size, num_blocks)
+    for lo in range(0, num_blocks, batch):
+        hi = min(lo + batch, num_blocks)
         b = hi - lo
         bits, ch = simulate_blocks(qpp, sigma2, seed, lo, hi)
         start = time.perf_counter()

@@ -100,11 +100,11 @@ def exhaustive_llrs(lu, lc2, tail_lu, tail_lc2, lc1=None, tail_lc1=None,
     return np.array(llrs)
 
 
-def naive_state_update(trellis, prev_metrics, lu, lc2, direction, max_star_fn):
-    """State-metric update looping all 16 edges of the trellis spec; each
-    edge's metric u*lu + c2*lc2 comes from its own labels."""
-    best = [None] * trellis.num_states
-    for edge in trellis.edges:
+def naive_state_update(edges, prev_metrics, lu, lc2, direction, max_star_fn):
+    """State-metric update looping over the given trellis edges (all 16);
+    each edge's metric u*lu + c2*lc2 comes from its own labels."""
+    best = [None] * len(prev_metrics)
+    for edge in edges:
         if direction == "forward":
             src, dst = edge.start_state, edge.end_state
         else:

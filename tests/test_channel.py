@@ -122,8 +122,10 @@ class TestDemap:
         assert llr_demap(-0.5, 0.5) == -2.0
 
     def test_rejects_bad_variance(self):
-        with pytest.raises(ValueError):
-            llr_demap(np.zeros(4), -1.0)
+        # the values simulate_blocks rejects; NaN gave NaN LLRs, inf zeros
+        for noise_variance in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="noise variance"):
+                llr_demap(np.ones(3), noise_variance)
 
     def test_noiseless_round_trip(self):
         rng = np.random.default_rng(5)
@@ -251,11 +253,13 @@ class TestSerialization:
         cw = turbo_encode(rng.integers(0, 2, 40, dtype=np.uint8), qpp)
         flat = serialize_codeword(cw)
         assert flat.shape == (132,)
-        ch = split_llrs(llr_demap(bpsk_modulate(flat), 2.0), 40)
-        assert np.array_equal((ch.lu < 0).astype(np.uint8), cw.systematic)
-        assert np.array_equal((ch.parity2 < 0).astype(np.uint8), cw.parity2)
-        assert np.array_equal((ch.tail2_parity < 0).astype(np.uint8),
-                              cw.tail.enc2_parity)
+        llrs = llr_demap(bpsk_modulate(flat), 2.0)
+        ch = split_llrs(llrs, 40)
+        # the same seven streams in the same order, each a view of llrs
+        for sent, got in zip(dataclasses.fields(cw), dataclasses.fields(ch)):
+            stream = getattr(ch, got.name)
+            assert np.array_equal((stream < 0).astype(np.uint8), getattr(cw, sent.name))
+            assert np.shares_memory(stream, llrs)
 
     def test_split_length_check(self):
         with pytest.raises(ValueError):

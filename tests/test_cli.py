@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lteturbo import cli
+from lteturbo import cli, sim
 from lteturbo.cli import MAX_SNR_POINTS, _CliError, _parse_snr_range, main
 from lteturbo.maxstar import MaxStarMode
 from lteturbo.qpp import params_for_block_size
@@ -87,13 +87,14 @@ class TestBer:
         assert code == 5
         assert "cannot write" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, runner", [
-        ("ber", "run_ber_sweep"), ("bench", "run_benchmark")])
-    def test_unwritable_output_fails_before_decoding(self, tmp_path, capsys,
-                                                     monkeypatch, command, runner):
+    @pytest.mark.parametrize("command, owner, runner", [
+        ("ber", sim, "run_ber_point"), ("bench", cli, "run_benchmark")],
+        ids=["ber-run_ber_point", "bench-run_benchmark"])
+    def test_unwritable_output_fails_before_decoding(self, tmp_path, capsys, monkeypatch,
+                                                     command, owner, runner):
         def entered(*args, **kwargs):
             raise AssertionError(f"{runner} ran before the output was checked")
-        monkeypatch.setattr(cli, runner, entered)
+        monkeypatch.setattr(owner, runner, entered)
         out = tmp_path / "missing" / "out.csv"
         assert main([command, "--n", "40", "--iters", "1", "--blocks", "1",
                      "--snr-db", "1", "--out", str(out)]) == 5

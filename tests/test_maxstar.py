@@ -33,6 +33,14 @@ class TestPointValues:
         want = np.maximum(x, y) + np.log1p(np.exp(-np.abs(x - y)))
         np.testing.assert_allclose(got, want, atol=1e-12)
 
+    @pytest.mark.parametrize("mode", ["log-map", "max-log", None, 3])
+    @pytest.mark.parametrize("x, y", [(1.0, 2.0), ([1.0, 0.0], [2.0, 0.0])],
+                             ids=["scalars", "arrays"])
+    def test_rejects_a_mode_that_is_no_max_star_mode(self, mode, x, y):
+        # the bare else ran the linear correction: "log-map" gave 2.375
+        with pytest.raises(ValueError, match="mode must be a MaxStarMode"):
+            max_star(x, y, mode)
+
 
 class TestProperties:
     @pytest.mark.parametrize("mode", ALL_MODES)

@@ -10,7 +10,7 @@ from lteturbo.maxstar import (CONSTANT_C, CONSTANT_T, LINEAR_A, LINEAR_T,
 from lteturbo import siso
 from lteturbo.siso import (SisoInput, compute_branch_metrics, quantize_llrs,
                            siso_decode, track_metric_allocations, track_stage_times)
-from lteturbo.trellis import lte_trellis
+from lteturbo.trellis import EDGES
 from lteturbo.turbo import DecoderConfig
 
 from oracles import (dyadic, exhaustive_llrs, naive_state_update,
@@ -44,8 +44,7 @@ class TestBranchMetrics:
         # row 0 of each state adds its g[K], row 1 subtracts it: over both
         # directions this must give every trellis edge, once each, its
         # half-scale metric (u*lu + c2*lc2)/2 exactly
-        tr = lte_trellis()
-        edges = {(e.start_state, e.end_state): e for e in tr.edges}
+        edges = {(e.start_state, e.end_state): e for e in EDGES}
         rng = np.random.default_rng(28)
         for _ in range(50):
             lu, lc2 = rng.normal(0, 4, 2)
@@ -64,7 +63,7 @@ class TestBranchMetrics:
         # half by start state: the oracle's fold order
         flat = [(s, far) for row in siso._BWD[0] for s, far in enumerate(row)]
         order = [flat[i] for i in siso._LLR_EDGES]
-        assert order == sorted(edges, key=lambda se: (edges[se].info_bit, se[0]))
+        assert order == sorted(edges, key=lambda se: (-edges[se].u, se[0]))
 
     def test_table_axis(self):
         # the decoder's stage-major table puts the 2 entries on axis 1
@@ -95,8 +94,7 @@ class TestButterflyUpdate:
         start[0] = 0.0
         out = stage_step(start, compute_branch_metrics(0.0, 0.0),
                          "forward", MaxStarMode.MAX_LOG)
-        succ1 = next(e.end_state for e in lte_trellis().edges
-                     if e.start_state == 0 and e.info_bit == 1)
+        succ1 = next(e.end_state for e in EDGES if e.start_state == 0 and e.u == -1)
         assert succ1 == 4
         for s in range(8):
             if s in (0, succ1):
@@ -107,7 +105,6 @@ class TestButterflyUpdate:
     @pytest.mark.parametrize("mode", ALL_MODES)
     @pytest.mark.parametrize("direction", ["forward", "backward"])
     def test_matches_naive_edge_enumeration(self, mode, direction):
-        tr = lte_trellis()
         # seeded by parametrize position, the same in every process
         seed = 2 * ALL_MODES.index(mode) + ["forward", "backward"].index(direction)
         rng = np.random.default_rng(seed)
@@ -116,7 +113,7 @@ class TestButterflyUpdate:
             prev = rng.normal(0, 10, 8)
             lu, lc2 = rng.normal(0, 5, 2)
             got = stage_step(prev, compute_branch_metrics(lu, lc2), direction, mode)
-            want = naive_state_update(tr, prev, lu, lc2, direction, fn)
+            want = naive_state_update(EDGES, prev, lu, lc2, direction, fn)
             np.testing.assert_allclose(got, want - want[0], atol=1e-12)
 
 
@@ -376,9 +373,10 @@ class TestSisoDecode:
 
 
 @st.composite
-def dyadic_siso_inputs(draw, batch=()):
-    """SisoInput with LLRs on the 2**-6 grid, with or without a tail."""
-    n = draw(st.integers(1, 24))
+def dyadic_siso_inputs(draw, batch=(), max_n=24):
+    """SisoInput of 1..max_n stages with LLRs on the 2**-6 grid, with or
+    without a tail."""
+    n = draw(st.integers(1, max_n))
 
     def stream(length):
         shape = batch + (length,)
@@ -491,6 +489,25 @@ class TestWindowReference:
             else:
                 assert res.llr_out[i].tobytes() == want.tobytes()
                 assert res.extrinsic[i].tobytes() == (want - inp.lu[i]).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(inp=st.sampled_from([(), (2,)]).flatmap(
+               lambda batch: dyadic_siso_inputs(batch=batch, max_n=59)),
+           mode=st.sampled_from(ALL_MODES))
+    def test_unwindowed_decode_equals_one_window_reference(self, inp, mode):
+        # the one-lane path for every n the pinned cases reach, not only
+        # the short blocks windowed_case leaves unsplit
+        res = siso_decode(inp, config_for(mode))
+        for i in np.ndindex(inp.batch_shape):
+            tail = ((None, None) if inp.tail_lu is None
+                    else (inp.tail_lu[i], inp.tail_lc2[i]))
+            want = window_reference_llrs(
+                inp.lu[i].tolist(), inp.lc2[i].tolist(), *tail, mode.value,
+                inp.n, 0, True, CONSTANT_C, CONSTANT_T, LINEAR_A, LINEAR_T)
+            if mode is MaxStarMode.LOG_MAP:
+                np.testing.assert_allclose(res.llr_out[i], want, rtol=0, atol=1e-9)
+            else:
+                assert res.llr_out[i].tobytes() == want.tobytes()
 
 
 BATCH_SHAPES = [(), (1,), (3,), (2, 3)]

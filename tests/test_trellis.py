@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lteturbo.maxstar import MaxStarMode
 from lteturbo.qpp import params_for_block_size, permutation
-from lteturbo.trellis import lte_trellis, rsc_encode, turbo_encode
+from lteturbo.trellis import EDGES, rsc_encode, turbo_encode
 from lteturbo.turbo import DecoderConfig, simulate_blocks, turbo_decode
 
 from oracles import ref_rsc_encode
@@ -12,48 +14,44 @@ from oracles import ref_rsc_encode
 
 class TestTrellisStructure:
     def test_size_and_degrees(self):
-        tr = lte_trellis()
-        assert tr.num_states == 8
-        assert len(tr.edges) == 16
-        assert tr.initial_state == 0
+        assert len(EDGES) == 16
+        # ordered by (start state, information bit): u = +1 is bit 0
+        assert [(e.start_state, e.u) for e in EDGES] == [
+            (s, u) for s in range(8) for u in (1, -1)]
         out_deg = np.zeros(8, dtype=int)
         in_deg = np.zeros(8, dtype=int)
-        for e in tr.edges:
+        for e in EDGES:
             out_deg[e.start_state] += 1
             in_deg[e.end_state] += 1
         assert (out_deg == 2).all() and (in_deg == 2).all()
 
     def test_state_zero_transitions(self):
-        tr = lte_trellis()
-        quiet = [e for e in tr.edges if e.start_state == 0 and e.info_bit == 0]
-        assert quiet == [tr.edges[0]]
+        quiet = [e for e in EDGES if e.start_state == 0 and e.u == 1]
+        assert quiet == [EDGES[0]]
         assert quiet[0].end_state == 0 and quiet[0].parity_bit == 0
-        active = [e for e in tr.edges if e.start_state == 0 and e.info_bit == 1][0]
+        active = [e for e in EDGES if e.start_state == 0 and e.u == -1][0]
         assert active.end_state != 0 and active.parity_bit == 1
 
     def test_butterfly_sign_structure(self):
         # within each butterfly -- two start states sharing their two end
         # states -- every edge has the same u*c2, so the u=+1 edges carry
         # one branch metric (g1 or -g2) and the u=-1 edges its negation
-        tr = lte_trellis()
         for starts in [(2 * t, 2 * t + 1) for t in range(4)]:
-            leaving = [e for e in tr.edges if e.start_state in starts]
+            leaving = [e for e in EDGES if e.start_state in starts]
             assert len(leaving) == 4
             assert len({e.end_state for e in leaving}) == 2
             labels = {(e.u, e.c2) for e in leaving}
             assert labels in ({(1, 1), (-1, -1)}, {(1, -1), (-1, 1)})
 
     def test_edges_match_reference_simulator(self):
-        tr = lte_trellis()
-        edge_set = {(e.start_state, e.info_bit, e.end_state, e.parity_bit)
-                    for e in tr.edges}
+        edge_set = {(e.start_state, e.u, e.end_state, e.c2) for e in EDGES}
         seen = set()
         rng = np.random.default_rng(1)
         for _ in range(50):
             bits = rng.integers(0, 2, 32).tolist()
             parity, tail_i, tail_p, states = ref_rsc_encode(bits)
             for k, (b, p) in enumerate(zip(bits + tail_i, parity + tail_p)):
-                step = (states[k], b, states[k + 1], p)
+                step = (states[k], 1 - 2 * b, states[k + 1], 1 - 2 * p)
                 assert step in edge_set
                 seen.add(step)
         assert seen == edge_set  # every edge exercised
@@ -152,8 +150,7 @@ class TestTurboEncode:
     def test_all_zero(self):
         qpp = params_for_block_size(40)
         cw = turbo_encode(np.zeros(40, dtype=np.uint8), qpp)
-        assert not cw.systematic.any() and not cw.parity1.any() and not cw.parity2.any()
-        assert cw.num_transmitted_bits == 132
+        assert not any(getattr(cw, f.name).any() for f in dataclasses.fields(cw))
 
     def test_parity2_is_encoded_permutation(self):
         qpp = params_for_block_size(40)

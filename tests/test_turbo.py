@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lteturbo import turbo
 from lteturbo.channel import ChannelConfig, ChannelLlrs
 from lteturbo.maxstar import MaxStarMode
 from lteturbo.qpp import inverse_permutation, params_for_block_size, permutation
@@ -19,10 +20,8 @@ QPP40 = params_for_block_size(40)
 def noiseless_llrs(bits, qpp, magnitude=12.0):
     cw = turbo_encode(bits, qpp)
     scale = lambda b: magnitude * (1.0 - 2.0 * b.astype(float))
-    return ChannelLlrs(
-        lu=scale(cw.systematic), parity1=scale(cw.parity1), parity2=scale(cw.parity2),
-        tail1_info=scale(cw.tail.enc1_info), tail1_parity=scale(cw.tail.enc1_parity),
-        tail2_info=scale(cw.tail.enc2_info), tail2_parity=scale(cw.tail.enc2_parity))
+    # CodeWord and ChannelLlrs hold the same seven streams in one order
+    return ChannelLlrs(*(scale(getattr(cw, f.name)) for f in dataclasses.fields(cw)))
 
 
 def block(ch, i):
@@ -71,9 +70,14 @@ class TestDecoderConfig:
         assert values == (3, 8, 4, 6, 2)
         assert all(type(v) is int for v in values)
 
-    def test_num_windows(self):
-        assert DecoderConfig().num_windows(40) == 1
-        assert DecoderConfig(window_len=16).num_windows(40) == 3
+    @pytest.mark.parametrize("kwargs", [
+        dict(mode="max-log"), dict(mode=None), dict(mode=3), dict(qpp=40)],
+        ids=["mode_name", "mode_none", "mode_int", "qpp_int"])
+    def test_rejects_mode_or_qpp_of_another_type(self, kwargs):
+        # such a mode decoded with the linear kernel and counted no muls;
+        # such a qpp failed inside turbo_decode with an AttributeError
+        with pytest.raises(TypeError, match=f"^{next(iter(kwargs))} must be a"):
+            DecoderConfig(**kwargs)
 
     def test_turbo_decode_requires_qpp(self):
         ch = noiseless_llrs(np.zeros(40, dtype=np.uint8), QPP40)
@@ -216,21 +220,16 @@ class TestMonteCarlo:
         b = run_monte_carlo(config, 1.0, 30, seed=5)
         assert (a.bit_errors, a.block_errors) == (b.bit_errors, b.block_errors)
 
-    def test_batch_and_offset_invariance(self):
+    def test_batch_and_offset_invariance(self, monkeypatch):
         # block b draws from its own (seed, b) stream: batching changes nothing
         config = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=2, qpp=QPP40)
         whole = run_monte_carlo(config, 1.0, 30, seed=5)
-        for batch_size in (5, 7):
-            part = run_monte_carlo(config, 1.0, 30, seed=5, batch_size=batch_size)
+        for size in (5, 7):
+            monkeypatch.setattr(turbo, "_default_batch_size", lambda n: size)
+            part = run_monte_carlo(config, 1.0, 30, seed=5)
             assert (part.blocks, part.bit_errors, part.block_errors) == \
                 (whole.blocks, whole.bit_errors, whole.block_errors)
             assert part.ops == whole.ops
-
-    @pytest.mark.parametrize("batch_size", [0, -1])
-    def test_batch_size_below_one_rejected(self, batch_size):
-        config = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=2, qpp=QPP40)
-        with pytest.raises(ValueError, match="batch_size"):
-            run_monte_carlo(config, 1.0, 3, seed=5, batch_size=batch_size)
 
     @pytest.mark.parametrize("num_blocks", [-1, -3])
     def test_negative_num_blocks_rejected(self, num_blocks):
@@ -258,9 +257,10 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="Eb/N0 must be finite"):
             run_monte_carlo(config, snr_db, 3, seed=5)
 
-    def test_blocks_are_those_of_simulate_blocks(self):
+    def test_blocks_are_those_of_simulate_blocks(self, monkeypatch):
         config = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=2, qpp=QPP40)
-        mc = run_monte_carlo(config, 0.5, 12, seed=9, batch_size=5)
+        monkeypatch.setattr(turbo, "_default_batch_size", lambda n: 5)
+        mc = run_monte_carlo(config, 0.5, 12, seed=9)
         sigma2 = ChannelConfig.for_block_size(40, 0.5).noise_variance
         bits, ch = simulate_blocks(QPP40, sigma2, 9, 0, 12)
         errors = turbo_decode(ch, config).hard_bits != bits
