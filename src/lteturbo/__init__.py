@@ -11,7 +11,7 @@ from .channel import (ChannelConfig, ChannelLlrs, block_rng, bpsk_modulate,
 from .maxstar import METRIC_NEG_INF, MaxStarMode, max_star, max_star_reduce
 from .qpp import (QppParams, block_sizes, inverse_permutation,
                   params_for_block_size, permutation, qpp_index)
-from .siso import (MetricMatrix, OpCounts, SisoInput, SisoResult, StageTimes,
+from .siso import (OpCounts, SisoInput, SisoResult, StageTimes,
                    compute_branch_metrics, quantize_llrs, siso_decode,
                    track_metric_allocations, track_stage_times)
 from .trellis import CodeWord, RscCodeword, TrellisEdge, rsc_encode, turbo_encode
@@ -26,7 +26,7 @@ __all__ = [
     "METRIC_NEG_INF", "MaxStarMode", "max_star", "max_star_reduce",
     "QppParams", "block_sizes", "inverse_permutation", "params_for_block_size",
     "permutation", "qpp_index",
-    "MetricMatrix", "OpCounts", "SisoInput", "SisoResult", "StageTimes",
+    "OpCounts", "SisoInput", "SisoResult", "StageTimes",
     "compute_branch_metrics", "quantize_llrs", "siso_decode",
     "track_metric_allocations", "track_stage_times",
     "CodeWord", "RscCodeword", "TrellisEdge", "rsc_encode", "turbo_encode",

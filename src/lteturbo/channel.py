@@ -40,7 +40,8 @@ class ChannelConfig:
     code_rate: float
 
     def __post_init__(self):
-        if not math.isfinite(self.ebn0_db):
+        # NaN fails the comparison; math.isfinite would raise OverflowError on 10**400
+        if not -math.inf < self.ebn0_db < math.inf:
             raise ValueError(f"Eb/N0 must be finite, got {self.ebn0_db} dB")
         if not 0 < self.code_rate < math.inf:
             raise ValueError(f"code rate must be positive and finite, "
@@ -57,6 +58,9 @@ class ChannelConfig:
     @classmethod
     def for_block_size(cls, n: int, ebn0_db: float) -> "ChannelConfig":
         """Rate-1/3 turbo code configuration with the tail-bit rate penalty."""
+        n = check_integer("n", n)
+        if n < 1:
+            raise ValueError(f"block size must be >= 1, got {n}")
         return cls(ebn0_db=ebn0_db, code_rate=n / (3 * n + 12))
 
     @property
@@ -105,9 +109,18 @@ def rekey_block_rng(rng: np.random.Generator, seed: int, block_index: int) -> No
         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
+def as_float_array(x) -> np.ndarray:
+    """x as a float64 array; an integer beyond float64 raises ValueError
+    where numpy raises OverflowError."""
+    try:
+        return np.asarray(x, dtype=np.float64)
+    except OverflowError as exc:
+        raise ValueError(f"value out of float64 range: {exc}") from None
+
+
 def bpsk_modulate(bits) -> np.ndarray:
     """Map bits to unit-energy antipodal symbols, 0 -> +1, 1 -> -1."""
-    return 1.0 - 2.0 * np.asarray(bits, dtype=np.float64)
+    return 1.0 - 2.0 * as_float_array(bits)
 
 
 def llr_demap(received, noise_variance: float) -> np.ndarray:
@@ -115,7 +128,7 @@ def llr_demap(received, noise_variance: float) -> np.ndarray:
     if not 0 < noise_variance < math.inf:
         raise ValueError(f"noise variance must be positive and finite, "
                          f"got {noise_variance}")
-    return 2.0 * np.asarray(received, dtype=np.float64) / noise_variance
+    return 2.0 * as_float_array(received) / noise_variance
 
 
 @dataclass(frozen=True)
@@ -146,7 +159,7 @@ def serialize_codeword(cw: CodeWord) -> np.ndarray:
 
 def split_llrs(llrs, n: int) -> ChannelLlrs:
     """Undo serialize_codeword on a demapped LLR vector."""
-    llrs = np.asarray(llrs, dtype=np.float64)
+    llrs = as_float_array(llrs)
     if llrs.shape[-1] != 3 * n + 12:
         raise ValueError(f"expected {3 * n + 12} LLRs for block size {n}, "
                          f"got {llrs.shape[-1]}")

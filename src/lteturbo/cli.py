@@ -20,7 +20,7 @@ Exit codes (each error prints one `turbosim:` line on stderr):
   5  unwritable output path (a path that cannot be opened is found
      before any block is decoded; a write that fails, say on a full
      disk, ends the run when it happens), or a config file that cannot
-     be read or is not UTF-8 text
+     be read, is larger than 1 MiB or is not UTF-8 text
   6  bad option value: unknown --alg, (bench) an --alg that names an
      algorithm twice, malformed --quant, --iters < 1, --window-len < 1,
      --acq-len < 0, --blocks < 1, --seed outside [0, 2**64), a
@@ -29,6 +29,7 @@ Exit codes (each error prints one `turbosim:` line on stderr):
 """
 
 import argparse
+import io
 import os
 import sys
 from contextlib import contextmanager
@@ -46,6 +47,7 @@ EXIT_BAD_OPTION = 6
 
 MAX_SNR_POINTS = 10_000
 MAX_ABS_SNR_DB = 1000.0   # 10**(snr/10) stays far from float overflow
+MAX_CONFIG_BYTES = 2 ** 20
 
 _ALGS = [m.value for m in MaxStarMode]
 
@@ -97,17 +99,21 @@ def _parse_quant(text):
 
 
 def _load_config_file(path):
-    values = {}
     try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_CONFIG_BYTES + 1)   # a larger file is refused unread
+        if len(data) > MAX_CONFIG_BYTES:
+            raise OSError(f"larger than {MAX_CONFIG_BYTES} bytes")
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(EXIT_BAD_OUTPUT, f"cannot read config file: {exc}")
+    values = {}
+    for line in io.StringIO(text, newline=None):   # the lines a text-mode file yields
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
     return values
 
 

@@ -8,9 +8,10 @@ timings.
 """
 
 import hashlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .maxstar import CONSTANT_C, CONSTANT_T, LINEAR_A, LINEAR_T
+from .siso import OpCounts
 from .turbo import DecoderConfig, McResult, run_monte_carlo
 
 
@@ -24,9 +25,8 @@ def run_ber_point(config: DecoderConfig, snr_db: float, num_blocks: int,
 # deliberately absent: rows must be byte-identical across runs for a
 # fixed seed.
 BER_CSV_COLUMNS = ("snr_db", "mode", "iterations", "blocks", "info_bits",
-                   "bit_errors", "block_errors", "ber", "fer", "adds", "subs",
-                   "muls", "max_star_pairs", "llr_reduces", "stream_reads",
-                   "stream_writes")
+                   "bit_errors", "block_errors", "ber", "fer",
+                   *(f.name for f in fields(OpCounts)))
 
 
 def config_digest(config: DecoderConfig, num_blocks: int, seed: int,
@@ -48,13 +48,10 @@ def write_ber_csv(fh, config: DecoderConfig, snr_points,
     fh.write(f"# config={digest}\n")
     fh.write(",".join(BER_CSV_COLUMNS) + "\n")
     for snr_db, r in zip(snr_points, results):
-        ops = r.ops
         row = [repr(float(snr_db)), config.mode.value, str(config.iterations),
                str(r.blocks), str(r.info_bits), str(r.bit_errors),
-               str(r.block_errors), repr(r.ber), repr(r.fer), str(ops.adds),
-               str(ops.subs), str(ops.muls), str(ops.max_star_pairs),
-               str(ops.llr_reduces), str(ops.stream_reads),
-               str(ops.stream_writes)]
+               str(r.block_errors), repr(r.ber), repr(r.fer),
+               *map(str, r.ops.as_dict().values())]
         fh.write(",".join(row) + "\n")
 
 

@@ -20,16 +20,16 @@ cost-saving conventions throughout:
   and keeps metrics bounded; state 0 becomes implicitly zero, so only
   seven values per stage are stored.
 
-* Storage.  Only the forward metrics are kept (a MetricMatrix of 7*n
-  values per block; with windows, n is rounded up to whole windows, so
-  a block that no window length divides stores fewer than 7*window_len
-  padding values).  Backward metrics live in one 8-slot register per
-  lane (window): the backward recursion and the LLR output are fused
-  into one loop, so each backward column is consumed the moment it is
-  produced.  The lanes are rows of one array.  Block-sized arrays are
-  freed once dead: the table and the store go before the LLRs are
-  copied out, so a call peaks at the store, the table and one LLR
-  array.
+* Storage.  Only the forward metrics are kept, in a (stages, 7) + batch
+  float64 array: 7 values per stage and block, with the stages rounded
+  up to whole windows, so a block that no window length divides stores
+  fewer than 7*window_len padding values, which are never read.
+  Backward metrics live in one 8-slot register per lane (window): the
+  backward recursion and the LLR output are fused into one loop, so
+  each backward column is consumed the moment it is produced.  The
+  lanes are rows of one array.  Block-sized arrays are freed once dead:
+  the table and the store go before the LLRs are copied out, so a call
+  peaks at the store, the table and one LLR array.
 
   Every per-stage array -- branch metrics, forward metrics and
   LLR output -- is stage-major: stage k = w*L + j (lane w, window
@@ -88,7 +88,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import check_integer
+from .channel import as_float_array, check_integer
 from .maxstar import METRIC_NEG_INF, MaxStarMode, max_star, max_star_reduce
 from .trellis import EDGES
 
@@ -227,11 +227,12 @@ def _recording(kind: str):
 
 
 def track_metric_allocations():
-    """Collect every MetricMatrix allocated inside the context.
+    """Collect the forward-metric store of each siso_decode call in the context.
 
-    Yields a list of MetricMatrix instances; their stored_values_per_block
-    add up to the peak stage-metric storage of a decode (the backward
-    recursion allocates no per-stage storage, only 8-slot registers).
+    Yields a list of the stores as allocated, (stages, 7) + batch float64
+    arrays (see the module docstring).  Their nbytes add up to the peak
+    stage-metric storage of a decode: the backward recursion keeps only
+    8-slot registers.
     """
     return _recording("allocations")
 
@@ -258,29 +259,6 @@ def track_stage_times():
     return _recording("stage_times")
 
 
-class MetricMatrix:
-    """Normalized forward metrics: seven values per stage, state 0 omitted.
-
-    data is (stages, 7) + batch_shape, stage-major and then state-major
-    (see the module docstring): slab j*lanes + w holds stage w*L + j of
-    every block, so each forward step writes alpha[1:] as one contiguous
-    (7, blocks) slab, and each backward step reads the lanes' slabs of
-    stage j back as whole rows; an unwindowed block's slabs are simply
-    its stages in order.  Holds the block's stages rounded up to whole
-    windows; the padding stages (fewer than one window) count as stored
-    values and are never read.
-    """
-
-    def __init__(self, batch_shape: tuple, stages: int):
-        self.data = np.empty((stages, 7) + batch_shape)
-        if _records["allocations"] is not None:
-            _records["allocations"].append(self)
-
-    @property
-    def stored_values_per_block(self) -> int:
-        return 7 * self.data.shape[0]
-
-
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -303,8 +281,8 @@ class SisoInput:
     tail_lc2: np.ndarray | None = None
 
     def __post_init__(self):
-        lu = np.asarray(self.lu, dtype=np.float64)
-        lc2 = np.asarray(self.lc2, dtype=np.float64)
+        lu = as_float_array(self.lu)
+        lc2 = as_float_array(self.lc2)
         if lu.shape != lc2.shape:
             raise ValueError(f"input streams disagree in shape: {lu.shape}, {lc2.shape}")
         if lu.ndim == 0 or lu.shape[-1] == 0:
@@ -316,8 +294,8 @@ class SisoInput:
         object.__setattr__(self, "lc2", lc2)
         if self.tail_lu is not None:
             tail_shape = lu.shape[:-1] + (3,)
-            tail_lu = np.asarray(self.tail_lu, dtype=np.float64)
-            tail_lc2 = np.asarray(self.tail_lc2, dtype=np.float64)
+            tail_lu = as_float_array(self.tail_lu)
+            tail_lc2 = as_float_array(self.tail_lc2)
             if not (tail_lu.shape == tail_lc2.shape == tail_shape):
                 raise ValueError("tail LLRs must have shape (..., 3) matching the block batch")
             to_check += [tail_lu, tail_lc2]
@@ -421,8 +399,10 @@ def siso_decode(inp: SisoInput, config) -> SisoResult:
     # Forward recursion.  Windows hand alpha across their shared
     # boundaries, so this is one continuous pass whatever the schedule.
     t_forward = perf_counter()
-    store = MetricMatrix(batch, span)
-    stored = store.data.reshape(L, lanes, 7, blocks)
+    store = np.empty((span, 7) + batch)
+    if _records["allocations"] is not None:
+        _records["allocations"].append(store)
+    stored = store.reshape(L, lanes, 7, blocks)
     alpha = np.full((8, blocks), METRIC_NEG_INF)
     alpha[0] = 0.0
     for k in range(n):
@@ -522,4 +502,4 @@ def quantize_llrs(llrs, bits: int, frac_bits: int) -> np.ndarray:
     step = 2.0 ** -frac_bits
     lo = -(2 ** (bits - 1)) * step
     hi = (2 ** (bits - 1) - 1) * step
-    return np.clip(np.round(np.asarray(llrs, dtype=np.float64) / step) * step, lo, hi)
+    return np.clip(np.round(as_float_array(llrs) / step) * step, lo, hi)

@@ -181,6 +181,8 @@ def simulate_blocks(qpp: QppParams, noise_variance: float, seed: int, lo: int,
     the same way.  Row i is block lo + i, byte for byte the same in any
     range that holds it.
     """
+    if not isinstance(qpp, QppParams):
+        raise TypeError(f"qpp must be a QppParams, got {qpp!r}")
     check_key_word("seed", seed)
     if not 0 <= lo <= hi <= KEY_LIMIT:
         raise ValueError(f"need 0 <= lo <= hi <= 2**64, got lo={lo}, hi={hi}")
@@ -240,6 +242,8 @@ def run_monte_carlo(config: DecoderConfig, snr_db: float, num_blocks: int,
     the turbo_decode calls alone; generating and encoding the blocks and
     simulating the channel are not in it.
     """
+    if not isinstance(config, DecoderConfig):
+        raise TypeError(f"config must be a DecoderConfig, got {config!r}")
     qpp = config.qpp
     if qpp is None:
         raise ValueError("Monte-Carlo runs need DecoderConfig.qpp")

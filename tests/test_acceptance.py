@@ -182,8 +182,8 @@ def test_c4_normalization_neutrality():
     with track_metric_allocations() as log:
         siso_decode(inp, DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=1))
     assert len(log) == 1
-    assert log[0].stored_values_per_block == 7 * big == 43008
-    assert log[0].data.shape == (big, 7)
+    assert log[0].shape == (big, 7)
+    assert log[0].size == 7 * big == 43008
     report("C4 normalization neutrality", True,
            "identical decisions/LLRs to an unnormalized scalar reference "
            "(bit-exact for max-log, <=1e-6 otherwise) on 100 blocks; "

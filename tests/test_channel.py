@@ -53,6 +53,14 @@ class TestChannelConfig:
         with pytest.raises(ValueError):
             ChannelConfig(ebn0_db=0.0, code_rate=0.0)
 
+    @pytest.mark.parametrize("n, error", [
+        (0, ValueError), (-4, ValueError), (-5, ValueError),
+        (1.5, TypeError), (40.0, TypeError), (None, TypeError)])
+    def test_block_size_is_a_positive_integer(self, n, error):
+        # -4 divided by zero and -5 gave code rate 5/3
+        with pytest.raises(error):
+            ChannelConfig.for_block_size(n, 1.0)
+
     @pytest.mark.parametrize("ebn0_db", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_ebn0(self, ebn0_db):
         with pytest.raises(ValueError, match="Eb/N0 must be finite"):

@@ -263,6 +263,24 @@ class TestBadOptions:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("turbosim: cannot read config file: ")
 
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_config_file_size_limit(self, tmp_path, capsys, extra):
+        # comment lines up to the limit are read; one byte more is refused
+        line = b"#" * 1023 + b"\n"
+        cfg = tmp_path / "big.cfg"
+        cfg.write_bytes(b"n=40\n" + line * (cli.MAX_CONFIG_BYTES // 1024 - 1)
+                        + b"#" * (1024 - 5 + extra))
+        assert cfg.stat().st_size == cli.MAX_CONFIG_BYTES + extra
+        out = tmp_path / "perm.csv"
+        code = main(["interleave", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        if extra:
+            assert code == 5 and not out.exists()
+            assert len(err) == 1 and err[0].startswith("turbosim: cannot read config file: ")
+        else:
+            assert code == 0 and err == []
+            assert len(out.read_text().splitlines()) == 1 + 40   # n=40 was read
+
     def test_config_file_serves_every_subcommand(self, tmp_path):
         cfg = tmp_path / "all.cfg"
         cfg.write_text("n=40\nalg=max-log\niters=1\nsnr-db=10\nblocks=1\n"

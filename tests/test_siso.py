@@ -255,8 +255,8 @@ class TestSisoDecode:
         with track_metric_allocations() as log:
             siso_decode(inp, config_for(MaxStarMode.MAX_LOG))
         assert len(log) == 1
-        assert log[0].stored_values_per_block == 7 * n
-        assert log[0].data.shape == (n, 7)
+        assert log[0].shape == (n, 7)
+        assert log[0].nbytes == 8 * 7 * n
 
     def test_peak_memory_is_the_store_the_table_and_the_llrs(self):
         # 7n stored metrics, the 2n-value branch-metric table and the
@@ -353,7 +353,7 @@ class TestSisoDecode:
         inp = random_siso_input(np.random.default_rng(24), 40)
         with track_metric_allocations() as log:
             res = siso_decode(inp, config_for(MaxStarMode.MAX_LOG, window_len=16))
-        assert log[0].stored_values_per_block == 7 * 48
+        assert log[0].shape == (48, 7)
         assert res.llr_out.shape == (40,)
 
     def test_metric_store_is_stage_major(self):
@@ -364,11 +364,11 @@ class TestSisoDecode:
             res = siso_decode(SisoInput(lu=lu, lc2=lc2),
                               config_for(MaxStarMode.MAX_LOG, window_len=16))
         assert len(log) == 1
-        assert log[0].data.shape == (48, 7, 2, 3)
-        assert log[0].data.flags.c_contiguous
-        assert log[0].stored_values_per_block == 7 * 48
+        assert log[0].shape == (48, 7, 2, 3)
+        assert log[0].dtype == np.float64
+        assert log[0].flags.c_contiguous
         # slab 0 is stage 0: states 1..7 of every block are unreachable
-        assert (log[0].data[0] == METRIC_NEG_INF).all()
+        assert (log[0][0] == METRIC_NEG_INF).all()
         assert res.llr_out.shape == (2, 3, 40)
 
 
