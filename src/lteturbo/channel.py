@@ -20,8 +20,9 @@ Conventions, fixed so that simulation output is reproducible bit for bit:
 * Codeword serialisation order (also the noise-draw order): the field
   order of trellis.CodeWord, which is the transmission order,
   systematic | parity1 | parity2 | tail1 info | tail1 parity
-  | tail2 info | tail2 parity; split_llrs cuts the LLRs into the same
-  seven streams, ChannelLlrs's fields.
+  | tail2 info | tail2 parity.  CodeWord is the one record of these
+  seven streams: serialize_codeword flattens one holding bits, and
+  split_llrs cuts the demapped LLRs back into one.
 """
 
 import math
@@ -123,33 +124,23 @@ def bpsk_modulate(bits) -> np.ndarray:
     return 1.0 - 2.0 * as_float_array(bits)
 
 
+def check_noise_variance(value) -> float:
+    """value as a float in (0, inf), the one noise-variance rule: a number
+    beyond float64 or outside (0, inf), NaN included, raises ValueError."""
+    if not hasattr(value, "__float__"):   # float() would parse a string
+        raise TypeError(f"noise variance must be a number, got {value!r}")
+    try:
+        variance = float(value)
+    except OverflowError:   # an integer beyond float64
+        variance = math.inf
+    if not 0 < variance < math.inf:
+        raise ValueError(f"noise variance must be positive and finite, got {value}")
+    return variance
+
+
 def llr_demap(received, noise_variance: float) -> np.ndarray:
     """Channel LLRs of BPSK over AWGN: L = 2r / sigma^2."""
-    if not 0 < noise_variance < math.inf:
-        raise ValueError(f"noise variance must be positive and finite, "
-                         f"got {noise_variance}")
-    return 2.0 * as_float_array(received) / noise_variance
-
-
-@dataclass(frozen=True)
-class ChannelLlrs:
-    """Demapped LLRs of one turbo code word (or a batch of them).
-
-    lu is the systematic stream; parity1/parity2 belong to the first and
-    second constituent encoder; the four tail streams carry the 12
-    termination bits, 3 info-tail + 3 parity-tail per encoder.
-    """
-    lu: np.ndarray
-    parity1: np.ndarray
-    parity2: np.ndarray
-    tail1_info: np.ndarray
-    tail1_parity: np.ndarray
-    tail2_info: np.ndarray
-    tail2_parity: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.lu.shape[-1]
+    return 2.0 * as_float_array(received) / check_noise_variance(noise_variance)
 
 
 def serialize_codeword(cw: CodeWord) -> np.ndarray:
@@ -157,12 +148,13 @@ def serialize_codeword(cw: CodeWord) -> np.ndarray:
     return np.concatenate([getattr(cw, f.name) for f in fields(cw)], axis=-1)
 
 
-def split_llrs(llrs, n: int) -> ChannelLlrs:
-    """Undo serialize_codeword on a demapped LLR vector."""
+def split_llrs(llrs, n: int) -> CodeWord:
+    """Undo serialize_codeword on a demapped LLR vector: the code word's
+    seven streams, holding LLRs."""
     llrs = as_float_array(llrs)
     if llrs.shape[-1] != 3 * n + 12:
         raise ValueError(f"expected {3 * n + 12} LLRs for block size {n}, "
                          f"got {llrs.shape[-1]}")
     # views at the widths n, n, n, 3, 3, 3, 3
-    return ChannelLlrs(*np.split(llrs, [n, 2 * n, 3 * n, 3 * n + 3, 3 * n + 6,
-                                        3 * n + 9], axis=-1))
+    return CodeWord(*np.split(llrs, [n, 2 * n, 3 * n, 3 * n + 3, 3 * n + 6,
+                                     3 * n + 9], axis=-1))

@@ -12,7 +12,9 @@ ignored: each SNR point is decoded in the calling thread.
 
 Exit codes (each error prints one `turbosim:` line on stderr):
   0  success
-  2  usage error (argparse's own code)
+  2  usage error: an unknown subcommand or flag, a missing subcommand,
+     or a flag value that is not an integer (argparse's code, with
+     argparse's message and no usage block)
   3  unsupported block size --n
   4  malformed SNR point or range: not a number, not finite, beyond
      +-1000 dB, a range of more than 10000 points, or (bench) more
@@ -56,6 +58,13 @@ class _CliError(Exception):
     def __init__(self, code, message):
         super().__init__(message)
         self.code = code
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are _CliErrors with exit code 2."""
+
+    def error(self, message):
+        raise _CliError(2, message)
 
 
 def _parse_snr_range(text, max_points=MAX_SNR_POINTS):
@@ -118,7 +127,7 @@ def _load_config_file(path):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="turbosim", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -282,8 +291,8 @@ def _cmd_interleave(opts):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
         opts = _effective(args, file_values)
         if args.command == "ber":
@@ -292,7 +301,7 @@ def main(argv=None) -> int:
             return _cmd_bench(opts)
         return _cmd_interleave(opts)
     except _CliError as exc:
-        print(f"turbosim: {exc}", file=sys.stderr)
+        print("turbosim:", " ".join(str(exc).splitlines()), file=sys.stderr)
         return exc.code
 
 

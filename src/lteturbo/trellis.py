@@ -59,15 +59,7 @@ EDGES = tuple(TrellisEdge(start_state=s, end_state=ns, u=1 - 2 * bit, c2=1 - 2 *
               for ns, parity in [_rsc_step(s, bit)])
 
 
-@dataclass(frozen=True)
-class RscCodeword:
-    """Output of one constituent encoder: parity stream plus termination."""
-    parity: np.ndarray      # (..., n) parity bits for the information section
-    tail_info: np.ndarray   # (..., 3) tail input bits (transmitted systematically)
-    tail_parity: np.ndarray  # (..., 3) tail parity bits
-
-
-def rsc_encode(bits) -> RscCodeword:
+def rsc_encode(bits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Encode information bits with the constituent RSC code.
 
     Parameters
@@ -77,9 +69,9 @@ def rsc_encode(bits) -> RscCodeword:
 
     Returns
     -------
-    RscCodeword
+    (parity, tail_info, tail_parity)
         Parity of shape (..., n) plus the 3 tail input and 3 tail parity
-        bits that drive the encoder back to state 0.
+        bits, shape (..., 3), that drive the encoder back to state 0.
 
     The encoder starts in state 0.  Encoding of the information section
     is linear over GF(2); the tail depends affinely on the final state.
@@ -108,14 +100,16 @@ def rsc_encode(bits) -> RscCodeword:
     r1, r2, r3 = w[..., -1], w[..., -2], w[..., -3]
     tail_info = np.stack([r2 ^ r3, r1 ^ r2, r1], axis=-1)
     tail_parity = np.stack([r1 ^ r3, r2, r1], axis=-1)
-    return RscCodeword(parity=parity, tail_info=tail_info, tail_parity=tail_parity)
+    return parity, tail_info, tail_parity
 
 
 @dataclass(frozen=True)
 class CodeWord:
     """Rate-1/3 turbo code word: three length-n streams plus 12 tail bits,
     3 info-tail + 3 parity-tail per constituent encoder.  The field order
-    is the transmission order (lteturbo.channel.serialize_codeword)."""
+    is the transmission order.  turbo_encode fills it with bits and
+    lteturbo.channel.split_llrs with channel LLRs; serialize_codeword
+    flattens it.  A leading batch axis is allowed on every stream."""
     systematic: np.ndarray
     parity1: np.ndarray
     parity2: np.ndarray
@@ -123,6 +117,8 @@ class CodeWord:
     tail1_parity: np.ndarray
     tail2_info: np.ndarray
     tail2_parity: np.ndarray
+
+    lu = property(lambda self: self.systematic)   # perfbench's name for systematic
 
 
 def turbo_encode(bits, params: QppParams) -> CodeWord:
@@ -136,11 +132,6 @@ def turbo_encode(bits, params: QppParams) -> CodeWord:
     if bits.shape[-1] != params.n:
         raise ValueError(f"input length {bits.shape[-1]} does not match block size {params.n}")
     pi = permutation(params)
-    enc1 = rsc_encode(bits)
-    enc2 = rsc_encode(bits[..., pi])
-    return CodeWord(
-        systematic=bits,
-        parity1=enc1.parity,
-        parity2=enc2.parity,
-        tail1_info=enc1.tail_info, tail1_parity=enc1.tail_parity,
-        tail2_info=enc2.tail_info, tail2_parity=enc2.tail_parity)
+    parity1, *tail1 = rsc_encode(bits)
+    parity2, *tail2 = rsc_encode(bits[..., pi])
+    return CodeWord(bits, parity1, parity2, *tail1, *tail2)

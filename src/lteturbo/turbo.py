@@ -21,19 +21,18 @@ All decode entry points accept a leading batch axis on the LLR arrays;
 the Monte-Carlo helper below relies on it.
 """
 
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import KEY_LIMIT, ChannelConfig, ChannelLlrs, block_rng, \
-    bpsk_modulate, check_integer, check_key_word, llr_demap, \
+from .channel import KEY_LIMIT, ChannelConfig, block_rng, bpsk_modulate, \
+    check_integer, check_key_word, check_noise_variance, llr_demap, \
     rekey_block_rng, serialize_codeword, split_llrs
 from .maxstar import MaxStarMode
 from .qpp import QppParams, inverse_permutation, permutation
 from .siso import _LLR_LIMIT, OpCounts, SisoInput, quantize_llrs, siso_decode
-from .trellis import turbo_encode
+from .trellis import CodeWord, turbo_encode
 
 _EXCHANGE_LIMIT = 0.5 * _LLR_LIMIT   # see the module docstring
 
@@ -73,6 +72,9 @@ class DecoderConfig:
         if self.acquisition_len < 0:
             raise ValueError("acquisition length must be >= 0")
         if self.quantization is not None:
+            if not (isinstance(self.quantization, (tuple, list)) and len(self.quantization) == 2):
+                raise TypeError(f"quantization must be a tuple or list (bits, frac_bits), "
+                                f"got {self.quantization!r}")
             bits, frac = self.quantization
             quantize_llrs(0.0, bits, frac)  # validates the pair: integers, in range
             object.__setattr__(self, "quantization", (int(bits), int(frac)))
@@ -102,9 +104,9 @@ def _saturate(x):
     return np.clip(x, -_EXCHANGE_LIMIT, _EXCHANGE_LIMIT, out=x)
 
 
-def turbo_decode(ch: ChannelLlrs, config: DecoderConfig,
+def turbo_decode(ch: CodeWord, config: DecoderConfig,
                  trace_iterations: bool = False) -> DecodeResult:
-    """Run config.iterations full iterations.
+    """Run config.iterations full iterations on the channel LLRs ch.
 
     With trace_iterations=True the result carries the combined LLR
     vector after every full iteration (per_iteration_llrs[i] for
@@ -113,14 +115,14 @@ def turbo_decode(ch: ChannelLlrs, config: DecoderConfig,
     qpp = config.qpp
     if qpp is None:
         raise ValueError("turbo decoding needs DecoderConfig.qpp")
-    if ch.n != qpp.n:
-        raise ValueError(f"channel LLR length {ch.n} does not match "
+    if ch.systematic.shape[-1] != qpp.n:
+        raise ValueError(f"channel LLR length {ch.systematic.shape[-1]} does not match "
                          f"interleaver block size {qpp.n}")
     quant = _quantizer(config)
     pi = permutation(qpp)
     ip = inverse_permutation(qpp)
 
-    lu = quant(ch.lu)
+    lu = quant(ch.systematic)
     if not np.abs(lu).max(initial=0.0) <= _EXCHANGE_LIMIT:   # NaN fails the <= too
         raise ValueError(f"systematic LLRs must be finite and within +-{_EXCHANGE_LIMIT:g}")
     parity1 = quant(ch.parity1)
@@ -167,7 +169,7 @@ def turbo_decode(ch: ChannelLlrs, config: DecoderConfig,
 # noise, so results do not depend on batching.
 
 def simulate_blocks(qpp: QppParams, noise_variance: float, seed: int, lo: int,
-                    hi: int) -> tuple[np.ndarray, ChannelLlrs]:
+                    hi: int) -> tuple[np.ndarray, CodeWord]:
     """Information bits and channel LLRs of blocks lo..hi-1 of a run.
 
     The one per-block recipe: block b draws its n information bits and
@@ -186,9 +188,7 @@ def simulate_blocks(qpp: QppParams, noise_variance: float, seed: int, lo: int,
     check_key_word("seed", seed)
     if not 0 <= lo <= hi <= KEY_LIMIT:
         raise ValueError(f"need 0 <= lo <= hi <= 2**64, got lo={lo}, hi={hi}")
-    if not 0 < noise_variance < math.inf:
-        raise ValueError(f"noise variance must be positive and finite, "
-                         f"got {noise_variance}")
+    noise_variance = check_noise_variance(noise_variance)
     n = qpp.n
     bits = np.empty((hi - lo, n), dtype=np.uint8)
     noise = np.empty((hi - lo, 3 * n + 12))

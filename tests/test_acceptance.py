@@ -42,8 +42,7 @@ def report(criterion, ok, detail):
 def _noisy_constituent_input(rng, n, sigma2, dyadic_grid=False):
     """One noise realization of a terminated constituent code block."""
     bits = rng.integers(0, 2, n, dtype=np.uint8)
-    enc = rsc_encode(bits)
-    tx = np.concatenate([bits, enc.parity, enc.tail_info, enc.tail_parity])
+    tx = np.concatenate([bits, *rsc_encode(bits)])
     symbols = bpsk_modulate(tx)
     llrs = llr_demap(symbols + np.sqrt(sigma2) * rng.standard_normal(symbols.shape),
                      sigma2)

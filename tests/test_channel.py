@@ -135,6 +135,17 @@ class TestDemap:
             with pytest.raises(ValueError, match="noise variance"):
                 llr_demap(np.ones(3), noise_variance)
 
+    @pytest.mark.parametrize("call", [lambda v: llr_demap([1.0], v),
+                                      lambda v: simulate_blocks(QPP40, v, 0, 0, 1)],
+                             ids=["llr_demap", "simulate_blocks"])
+    @pytest.mark.parametrize("value, error", [(10 ** 400, ValueError), ("2", TypeError)],
+                             ids=["beyond_float64", "string"])
+    def test_one_noise_variance_rule(self, call, value, error):
+        # 10**400 raised OverflowError in llr_demap and an unnamed
+        # TypeError from np.sqrt in simulate_blocks; float() would take "2"
+        with pytest.raises(error, match="noise variance"):
+            call(value)
+
     def test_noiseless_round_trip(self):
         rng = np.random.default_rng(5)
         bits = rng.integers(0, 2, 200)
@@ -195,8 +206,7 @@ class TestSimulateBlocks:
     def test_shapes(self):
         bits, ch = simulate_blocks(QPP40, 1.0, 7, 3, 6)
         assert bits.shape == (3, 40) and bits.dtype == np.uint8
-        assert ch.n == 40
-        assert ch.lu.shape == (3, 40) and ch.tail1_info.shape == (3, 3)
+        assert ch.systematic.shape == (3, 40) and ch.tail1_info.shape == (3, 3)
         bits, ch = simulate_blocks(QPP40, 1.0, 7, 6, 6)
         assert bits.shape == (0, 40) and ch.tail2_parity.shape == (0, 3)
 

@@ -240,6 +240,18 @@ class TestBadOptions:
         argv = ["bench", "--n", "40", "--iters", "1", "--blocks", "1"] + flags
         assert_one_line_error(capsys, argv, 6)
 
+    @pytest.mark.parametrize("argv", [["ber", "--n", "abc"], ["ber", "--bogus", "1"], []],
+                             ids=["non-integer", "unknown-flag", "no-subcommand"])
+    def test_usage_error_exit_code(self, capsys, argv):
+        # argparse's usage block is not printed, only its message
+        assert_one_line_error(capsys, argv, 2)
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: turbosim")
+
     @pytest.mark.parametrize("line", ["iters=abc", "blocks=1.5", "seed=", "n=forty"])
     def test_config_file_value_of_wrong_type(self, tmp_path, capsys, line):
         cfg = tmp_path / "sim.cfg"

@@ -6,14 +6,22 @@ floats where integers belong, integers beyond uint64 and float64,
 negative sizes -- and accepts a return, a ValueError or a TypeError.
 Any other exception fails the property.  Monte-Carlo runs stay at n=40,
 one iteration and at most two blocks, so no drawn value can ask for
-unbounded work.
+unbounded work.  The last property holds the turbosim command line to
+its documented exit codes in the same way.
 """
 
+import io
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lteturbo.channel import ChannelConfig
+from lteturbo import cli
+from lteturbo.channel import ChannelConfig, llr_demap
 from lteturbo.maxstar import MaxStarMode
 from lteturbo.qpp import params_for_block_size
 from lteturbo.siso import SisoInput, quantize_llrs
@@ -48,10 +56,16 @@ def refused_or_returned(call, *args, **kwargs):
        acquisition_len=st.one_of(st.integers(-1, 64), HOSTILE),
        quantization=st.one_of(st.none(), st.tuples(st.integers(-1, 17), st.integers(-1, 17)),
                               st.lists(HOSTILE, max_size=3), HOSTILE))
+@example(mode=MaxStarMode.MAX_LOG, iterations=1, qpp=None, window_len=None,
+         acquisition_len=0, quantization=b"\x06\x02")
 def test_decoder_config(mode, iterations, qpp, window_len, acquisition_len, quantization):
     refused_or_returned(DecoderConfig, mode=mode, iterations=iterations, qpp=qpp,
                         window_len=window_len, acquisition_len=acquisition_len,
                         quantization=quantization)
+    if not isinstance(quantization, (tuple, list, type(None))):
+        # only a tuple or list is a quantization; bytes were read as (6, 2)
+        with pytest.raises(TypeError, match="quantization"):
+            DecoderConfig(mode=MaxStarMode.MAX_LOG, quantization=quantization)
 
 
 @st.composite
@@ -93,6 +107,13 @@ def test_quantize_llrs(llrs, bits, frac_bits):
 def test_channel_config(ebn0_db, code_rate, n):
     refused_or_returned(ChannelConfig, ebn0_db=ebn0_db, code_rate=code_rate)
     refused_or_returned(ChannelConfig.for_block_size, n, ebn0_db)
+
+
+@settings(max_examples=100, deadline=None)
+@given(received=ARRAYS, noise_variance=st.one_of(st.floats(1e-3, 10), HOSTILE))
+@example(received=[1.0], noise_variance=10 ** 400)
+def test_llr_demap(received, noise_variance):
+    refused_or_returned(llr_demap, received, noise_variance)
 
 
 @st.composite
@@ -137,3 +158,134 @@ DECODER_CONFIGS = st.builds(
 def test_run_monte_carlo(config, snr_db, num_blocks, seed, per_iteration):
     refused_or_returned(run_monte_carlo, config, snr_db, num_blocks, seed,
                         per_iteration=per_iteration)
+
+
+# ---------------------------------------------------------------------------
+# The command line's contract: every turbosim run ends in a documented
+# exit code, and a non-zero one prints exactly one `turbosim:` line on
+# stderr.  cli.main runs in this process.  No drawn value asks for more
+# than n=40, two blocks, one iteration and three SNR points: a valid
+# value stays within those, and a hostile one fails before decoding.
+
+BIG = str(10 ** 30)
+
+
+def _free_text(key):
+    """Short arbitrary text that gives no larger run than the fixed values."""
+    def small(text):
+        if key == "snr-db":
+            try:
+                return len(cli._parse_snr_range(text)) <= 3
+            except cli._CliError:
+                return True
+        try:
+            return int(text) <= 1
+        except ValueError:
+            return True
+    return st.text(max_size=6).filter(small)
+
+
+# (valid values, boundary and hostile values) of each option
+CLI_VALUES = {
+    "n": (["40"], ["41", "0", "-40", BIG, "-" + BIG, "4e1", "nan", ""]),
+    "alg": (cli._ALGS, [",".join(cli._ALGS), "max-log,max-log", ",", "MAX-LOG",
+                        "max-log\nlog-map", ""]),
+    "iters": (["1"], ["0", "-1", "-" + BIG, "1.5", "nan"]),
+    "blocks": (["1", "2"], ["0", "-3", "-" + BIG, "2.0", "inf"]),
+    "seed": (["0", str(2 ** 64 - 1)], ["-1", str(2 ** 64), BIG, "0.5"]),
+    "window-len": (["1", "8", "40", BIG], ["0", "-1", "-" + BIG]),
+    "acq-len": (["0", "4", "64", BIG], ["-1", "-" + BIG]),
+    "quant": (["6:2", "16:15", "2:0"], ["1:0", "99:1", "6", "6:2:1", "a:b", BIG + ":2", ""]),
+    "threads": (["1", "2", BIG, "-" + BIG, "0"], []),
+    "snr-db": (["1", "-5", "1000", "0:1:2"],
+               ["nan", "inf", "-inf", "1e400", "1000.5", "0:0:1", "2:1:0", "0:1e-300:1",
+                "0:nan:1", "0:1", "1:2:3:4"]),
+}
+OUT_KINDS = (["file", "odd-name"], ["dir", "missing-dir", "empty"])
+CONFIG_KINDS = (["cfg", "odd-cfg"], ["bad-bytes", "dir", "missing-cfg"])
+if os.path.exists("/dev/full"):
+    OUT_KINDS[1].append("dev-full")
+    CONFIG_KINDS[1].append("dev-full")
+COMMAND_KEYS = {"ber": list(CLI_VALUES) + ["out"], "bench": list(CLI_VALUES) + ["out"],
+                "interleave": ["n", "out"]}
+SIZE_KEYS = {"n", "iters", "blocks"}   # their defaults ask for a larger run
+FILE_JUNK = ["# comment", "", "   ", "no equals sign", "bogus=1", "=1", "N=40"]
+ARGV_JUNK = ["--bogus", "stray", "-x", "--", "x\ny", "\udcff", "--n=abc", "--snr-db", "--s"]
+
+
+def _sometimes(draw, valid, hostile):
+    """One of valid, or (about one time in four) one of hostile."""
+    return draw(hostile if draw(st.integers(0, 3)) == 0 else valid)
+
+
+@st.composite
+def cli_runs(draw):
+    """A plan for one run: the command, where each option goes (argv, the
+    config file or both) with its value, and junk for both.  Most values
+    are valid, so that a run gets past one check to the next."""
+    command = _sometimes(draw, st.sampled_from(["ber", "bench", "interleave"]),
+                         st.sampled_from(["", "bogus", None]))
+    config = _sometimes(draw, st.sampled_from([None] + CONFIG_KINDS[0]),
+                        st.sampled_from(CONFIG_KINDS[1]))
+    keys = COMMAND_KEYS.get(command, [])
+    spoiled = {draw(st.sampled_from(keys)) for _ in range(draw(st.integers(0, 2)) if keys else 0)}
+    options = []
+    for key in keys:
+        places = ["argv"] + (["file", "both"] if config else [])
+        if key not in SIZE_KEYS or command == "interleave":
+            places.append("absent")
+        place = draw(st.sampled_from(places))
+        valid, hostile = OUT_KINDS if key == "out" else CLI_VALUES[key]
+        if key in spoiled and key != "out":
+            hostile = hostile + [draw(_free_text(key))]
+        value = draw(st.sampled_from(hostile if key in spoiled else valid))
+        if place != "absent":
+            options.append((key, place, value, draw(st.booleans())))
+    options = draw(st.permutations(options))
+    file_junk = _sometimes(draw, st.just([]), st.lists(st.sampled_from(FILE_JUNK), max_size=2))
+    argv_junk = _sometimes(draw, st.just([]), st.lists(st.sampled_from(ARGV_JUNK), max_size=2))
+    return command, config, options, file_junk, argv_junk
+
+
+def _build_argv(tmp, plan):
+    command, config, options, file_junk, argv_junk = plan
+    paths = {"file": "out.csv", "odd-name": "\udcff.out", "dir": ".",
+             "missing-dir": "no/out.csv", "cfg": "sim.cfg", "odd-cfg": "\udcff.cfg",
+             "bad-bytes": "sim.cfg", "missing-cfg": "no.cfg"}
+    paths = {kind: os.path.join(tmp, name) for kind, name in paths.items()}
+    paths.update({"dev-full": "/dev/full", "empty": ""})
+    argv = [] if command is None else [command]
+    lines = list(file_junk)
+    for key, place, value, joined in options:
+        value = paths[value] if key == "out" else value
+        if place in ("argv", "both"):
+            argv += [f"--{key}={value}"] if joined else [f"--{key}", value]
+        if place in ("file", "both"):
+            lines.append(f"{key}={value}")
+    if config:
+        data = "\n".join(lines).encode("utf-8", "surrogateescape")
+        if config == "bad-bytes":
+            data += b"\n\xc3("   # not UTF-8
+        if config in ("cfg", "odd-cfg", "bad-bytes"):
+            with open(paths[config], "wb") as fh:
+                fh.write(data)
+        argv += ["--config", paths[config]]
+    return argv + argv_junk
+
+
+@settings(max_examples=200, deadline=None)
+@given(plan=cli_runs())
+@example(plan=("ber", None, [], [], ["--n", "abc"]))
+@example(plan=("ber", "bad-bytes", [("n", "file", "40", True)], [], []))
+def test_turbosim_exit_codes(plan):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = _build_argv(tmp, plan)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in {0, 2, 3, 4, 5, 6}, (argv, code)
+    lines = err.getvalue().splitlines()
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("turbosim: "), (argv, lines)
+    else:
+        assert lines == [], (argv, lines)

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from lteturbo import turbo
-from lteturbo.channel import ChannelConfig, ChannelLlrs
+from lteturbo.channel import ChannelConfig
 from lteturbo.maxstar import MaxStarMode
 from lteturbo.qpp import inverse_permutation, params_for_block_size, permutation
 from lteturbo.siso import SisoInput, siso_decode
-from lteturbo.trellis import turbo_encode
+from lteturbo.trellis import CodeWord, turbo_encode
 from lteturbo.turbo import (DecoderConfig, ber_vs_iterations, run_monte_carlo,
                             simulate_blocks, turbo_decode)
 
@@ -20,13 +20,12 @@ QPP40 = params_for_block_size(40)
 def noiseless_llrs(bits, qpp, magnitude=12.0):
     cw = turbo_encode(bits, qpp)
     scale = lambda b: magnitude * (1.0 - 2.0 * b.astype(float))
-    # CodeWord and ChannelLlrs hold the same seven streams in one order
-    return ChannelLlrs(*(scale(getattr(cw, f.name)) for f in dataclasses.fields(cw)))
+    return CodeWord(*(scale(getattr(cw, f.name)) for f in dataclasses.fields(cw)))
 
 
 def block(ch, i):
-    """Row i of batched channel LLRs, as an unbatched ChannelLlrs."""
-    return ChannelLlrs(*(getattr(ch, f.name)[i] for f in dataclasses.fields(ch)))
+    """Row i of batched channel LLRs, as an unbatched CodeWord."""
+    return CodeWord(*(getattr(ch, f.name)[i] for f in dataclasses.fields(ch)))
 
 
 def noisy_llrs(qpp, snr_db, seed):
@@ -70,6 +69,12 @@ class TestDecoderConfig:
         assert values == (3, 8, 4, 6, 2)
         assert all(type(v) is int for v in values)
 
+    @pytest.mark.parametrize("quantization", [b"\x06\x02", "62"], ids=["bytes", "str"])
+    def test_quantization_is_a_tuple_or_list(self, quantization):
+        # bytes were read as (6, 2); a string failed on its first character
+        with pytest.raises(TypeError, match="^quantization must be a tuple or list"):
+            DecoderConfig(quantization=quantization)
+
     @pytest.mark.parametrize("kwargs", [
         dict(mode="max-log"), dict(mode=None), dict(mode=3), dict(qpp=40)],
         ids=["mode_name", "mode_none", "mode_int", "qpp_int"])
@@ -105,7 +110,7 @@ class TestTurboDecode:
     @pytest.mark.parametrize("bad", [5.1e249, -1e250, np.inf, np.nan])
     def test_rejects_systematic_llrs_beyond_half_the_siso_bound(self, bad):
         ch = noiseless_llrs(np.zeros(40, dtype=np.uint8), QPP40)
-        ch.lu[3] = bad
+        ch.systematic[3] = bad
         with pytest.raises(ValueError, match=r"systematic LLRs must be finite and within \+-5e\+249"):
             turbo_decode(ch, DecoderConfig(iterations=1, qpp=QPP40))
 
@@ -130,21 +135,21 @@ class TestTurboDecode:
         res = turbo_decode(ch, config)
 
         pi, ip = permutation(QPP40), inverse_permutation(QPP40)
-        s1 = siso_decode(SisoInput(lu=ch.lu, lc2=ch.parity1,
+        s1 = siso_decode(SisoInput(lu=ch.systematic, lc2=ch.parity1,
                                    tail_lu=ch.tail1_info, tail_lc2=ch.tail1_parity),
                          config)
         apriori2 = s1.extrinsic[pi]
-        s2 = siso_decode(SisoInput(lu=ch.lu[pi] + apriori2, lc2=ch.parity2,
+        s2 = siso_decode(SisoInput(lu=ch.systematic[pi] + apriori2, lc2=ch.parity2,
                                    tail_lu=ch.tail2_info, tail_lc2=ch.tail2_parity),
                          config)
-        want = ch.lu + s1.extrinsic + s2.extrinsic[ip]
+        want = ch.systematic + s1.extrinsic + s2.extrinsic[ip]
         np.testing.assert_array_equal(res.final_llrs, want)
 
     def test_ops_are_sums_over_half_iterations(self):
         bits, ch = noisy_llrs(QPP40, snr_db=1.0, seed=32)
         config = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=3, qpp=QPP40)
         res = turbo_decode(ch, config)
-        one = siso_decode(SisoInput(lu=ch.lu, lc2=ch.parity1,
+        one = siso_decode(SisoInput(lu=ch.systematic, lc2=ch.parity1,
                                     tail_lu=ch.tail1_info, tail_lc2=ch.tail1_parity),
                           config).ops
         # each of the 6 half-iterations runs an identically-shaped SISO pass
