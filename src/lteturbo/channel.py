@@ -26,11 +26,11 @@ Conventions, fixed so that simulation output is reproducible bit for bit:
 """
 
 import math
-import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .qpp import check_integer
 from .trellis import CodeWord
 
 
@@ -70,15 +70,6 @@ class ChannelConfig:
 
 
 KEY_LIMIT = 2 ** 64  # each Philox key word is a uint64
-
-
-def check_integer(name: str, value) -> int:
-    """value as a Python int: integers of any type pass; a float or other
-    non-integer raises TypeError rather than being truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def check_key_word(name: str, value: int) -> int:
@@ -151,10 +142,13 @@ def serialize_codeword(cw: CodeWord) -> np.ndarray:
 def split_llrs(llrs, n: int) -> CodeWord:
     """Undo serialize_codeword on a demapped LLR vector: the code word's
     seven streams, holding LLRs."""
+    n = check_integer("n", n)
+    if n < 1:
+        raise ValueError(f"block size must be >= 1, got {n}")
     llrs = as_float_array(llrs)
-    if llrs.shape[-1] != 3 * n + 12:
-        raise ValueError(f"expected {3 * n + 12} LLRs for block size {n}, "
-                         f"got {llrs.shape[-1]}")
+    if llrs.shape[-1:] != (3 * n + 12,):
+        raise ValueError(f"expected {3 * n + 12} LLRs per block for block size {n}, "
+                         f"got shape {llrs.shape}")
     # views at the widths n, n, n, 3, 3, 3, 3
     return CodeWord(*np.split(llrs, [n, 2 * n, 3 * n, 3 * n + 3, 3 * n + 6,
                                      3 * n + 9], axis=-1))

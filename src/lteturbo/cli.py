@@ -26,8 +26,9 @@ Exit codes (each error prints one `turbosim:` line on stderr):
   6  bad option value: unknown --alg, (bench) an --alg that names an
      algorithm twice, malformed --quant, --iters < 1, --window-len < 1,
      --acq-len < 0, --blocks < 1, --seed outside [0, 2**64), a
-     config-file value of the wrong type, or a config-file key that no
-     subcommand takes
+     config-file key that no subcommand takes, or a config-file value
+     of the wrong type (every value is type-checked when the file is
+     read, threads included, whatever the subcommand)
 """
 
 import argparse
@@ -98,16 +99,45 @@ def _parse_snr_range(text, max_points=MAX_SNR_POINTS):
 
 
 def _parse_quant(text):
-    if text is None:
-        return None
     try:
-        bits, frac = (int(p) for p in str(text).split(":"))
+        bits, frac = (int(p) for p in text.split(":"))
         return bits, frac
     except ValueError:
         raise _CliError(EXIT_BAD_OPTION, f"malformed --quant {text!r}; expected bits:frac") from None
 
 
+# Each option once: its type, which converts a flag's or a config file's value, and help
+_OPTIONS = {
+    "n": (int, "information block size"),
+    "alg": (str, f"algorithm: one of {_ALGS} (bench: comma list)"),
+    "iters": (int, "full decoder iterations"),
+    "snr_db": (str, "Eb/N0 point 'a' or (ber) range 'start:step:stop' in dB"),
+    "blocks": (int, "blocks per SNR point"),
+    "seed": (int, "simulation seed"),
+    "window_len": (int, "sliding window length"),
+    "acq_len": (int, "window acquisition length"),
+    "quant": (str, "LLR quantization bits:frac"),
+    "out": (str, "output path (default stdout)"),
+    "threads": (int, "ignored"),
+    "config": (str, "key=value config file; flags override"),
+}
+
+# Each subcommand's help and the options it takes, with their defaults
+# (None: unset).  An unset decoder option keeps DecoderConfig's default.
+_RUN = dict.fromkeys(_OPTIONS)
+_COMMANDS = {
+    "ber": ("Monte-Carlo BER/FER sweep, CSV output",
+            {**_RUN, "n": 1024, "alg": "max-log", "snr_db": "1.0", "blocks": 100, "seed": 0}),
+    "bench": ("decode throughput report",
+              {**_RUN, "n": 6144, "alg": ",".join(_ALGS), "iters": 1, "snr_db": "1.0",
+               "blocks": 2, "seed": 0}),
+    "interleave": ("dump the permutation as CSV", {"n": 40, "out": None, "config": None}),
+}
+
+
 def _load_config_file(path):
+    """The options a key=value config file sets, each converted by its type.
+    A key is the flag of any option but config, without its dashes (snr-db)."""
     try:
         with open(path, "rb") as fh:
             data = fh.read(MAX_CONFIG_BYTES + 1)   # a larger file is refused unread
@@ -116,13 +146,20 @@ def _load_config_file(path):
         text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(EXIT_BAD_OUTPUT, f"cannot read config file: {exc}")
+    names = {key.replace("_", "-"): key for key in _OPTIONS if key != "config"}
     values = {}
     for line in io.StringIO(text, newline=None):   # the lines a text-mode file yields
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in names:
+            raise _CliError(EXIT_BAD_OPTION, f"config file: unknown key {key!r}")
+        try:
+            values[names[key]] = _OPTIONS[names[key]][0](value)
+        except ValueError:
+            raise _CliError(EXIT_BAD_OPTION,
+                            f"config file: bad value {value!r} for {key}") from None
     return values
 
 
@@ -131,75 +168,22 @@ def _build_parser():
         prog="turbosim", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--n", type=int, help="information block size")
-        p.add_argument("--alg", help=f"algorithm: one of {_ALGS} (bench: comma list)")
-        p.add_argument("--iters", type=int, help="full decoder iterations")
-        p.add_argument("--blocks", type=int, help="blocks per SNR point")
-        p.add_argument("--seed", type=int, help="simulation seed")
-        p.add_argument("--window-len", type=int, help="sliding window length")
-        p.add_argument("--acq-len", type=int, help="window acquisition length")
-        p.add_argument("--quant", help="LLR quantization bits:frac")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--threads", type=int, help="ignored")
-        p.add_argument("--config", help="key=value config file; flags override")
-
-    ber = sub.add_parser("ber", help="Monte-Carlo BER/FER sweep, CSV output")
-    common(ber)
-    ber.add_argument("--snr-db", help="Eb/N0 point 'a' or range 'start:step:stop' in dB")
-
-    bench = sub.add_parser("bench", help="decode throughput report")
-    common(bench)
-    bench.add_argument("--snr-db", help="Eb/N0 operating point in dB")
-
-    il = sub.add_parser("interleave", help="dump the permutation as CSV")
-    il.add_argument("--n", type=int, help="block size")
-    il.add_argument("--out", help="output path (default stdout)")
-    il.add_argument("--config", help="key=value config file; flags override")
+    for command, (summary, defaults) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for key in defaults:
+            kind, text = _OPTIONS[key]
+            p.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
     return parser
 
 
-_DEFAULTS = {
-    "ber": {"n": 1024, "alg": "max-log", "iters": 8, "snr_db": "1.0",
-            "blocks": 100, "seed": 0, "window_len": None, "acq_len": 32,
-            "quant": None, "out": None},
-    "bench": {"n": 6144, "alg": ",".join(_ALGS), "iters": 1, "snr_db": "1.0",
-              "blocks": 2, "seed": 0, "window_len": None, "acq_len": 32,
-              "quant": None, "out": None},
-    "interleave": {"n": 40, "out": None},
-}
-
-_TYPES = {"n": int, "iters": int, "blocks": int, "seed": int,
-          "window_len": int, "acq_len": int}
-
-# Keys a config file may set: those of every subcommand, so one file can
-# serve all three, plus the ignored threads.
-_FILE_KEYS = {key.replace("_", "-") for keys in _DEFAULTS.values()
-              for key in keys} | {"threads"}
-
-
-def _effective(args, file_values):
-    """Merge CLI args, config-file values and defaults (that order)."""
-    unknown = sorted(set(file_values) - _FILE_KEYS)
-    if unknown:
-        raise _CliError(EXIT_BAD_OPTION, "config file: unknown key "
-                        + ", ".join(map(repr, unknown)))
-    merged = {}
-    for key, default in _DEFAULTS[args.command].items():
-        cli = getattr(args, key, None)
-        if cli is not None:
-            merged[key] = cli
-        elif key.replace("_", "-") in file_values:
-            text = file_values[key.replace("_", "-")]
-            try:
-                merged[key] = _TYPES.get(key, str)(text)
-            except ValueError:
-                raise _CliError(EXIT_BAD_OPTION, f"config file: bad value "
-                                f"{text!r} for {key.replace('_', '-')}") from None
-        else:
-            merged[key] = default
-    return merged
+def _options(args):
+    """The run's set options: each flag given, else its config-file value,
+    else the subcommand's default; an option none of them sets is left out."""
+    defaults = _COMMANDS[args.command][1]
+    file_values = _load_config_file(args.config) if args.config else {}
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    merged = {**defaults, **file_values, **flags}
+    return {key: merged[key] for key in defaults if merged[key] is not None}
 
 
 @contextmanager
@@ -223,21 +207,31 @@ def _open_out(path):
         raise _CliError(EXIT_BAD_OUTPUT, f"cannot write output: {exc}") from None
 
 
+def _qpp(n):
+    """The interleaver of block size n; an unsupported n exits 3."""
+    try:
+        return params_for_block_size(n)
+    except ValueError as exc:
+        raise _CliError(EXIT_BAD_BLOCK_SIZE, str(exc)) from None
+
+
+# DecoderConfig field -> option; a run passes DecoderConfig only those it sets
+_DECODER_FIELDS = {"iterations": "iters", "window_len": "window_len",
+                   "acquisition_len": "acq_len", "quantization": "quant"}
+
+
 def _decoder_config(opts, mode):
     """The run's DecoderConfig, after checking every option a run uses."""
-    try:
-        qpp = params_for_block_size(opts["n"])
-    except ValueError as exc:
-        raise _CliError(EXIT_BAD_BLOCK_SIZE, str(exc))
+    qpp = _qpp(opts["n"])
     if opts["blocks"] < 1:
         raise _CliError(EXIT_BAD_OPTION, f"--blocks must be >= 1, got {opts['blocks']}")
     if not 0 <= opts["seed"] < 2 ** 64:
         raise _CliError(EXIT_BAD_OPTION, f"--seed must be in [0, 2**64), got {opts['seed']}")
+    given = {field: opts[key] for field, key in _DECODER_FIELDS.items() if key in opts}
+    if "quantization" in given:
+        given["quantization"] = _parse_quant(given["quantization"])
     try:
-        return DecoderConfig(
-            mode=mode, iterations=opts["iters"], qpp=qpp,
-            window_len=opts["window_len"], acquisition_len=opts["acq_len"],
-            quantization=_parse_quant(opts["quant"]))
+        return DecoderConfig(mode=mode, qpp=qpp, **given)
     except ValueError as exc:
         raise _CliError(EXIT_BAD_OPTION, f"bad decoder option: {exc}") from None
 
@@ -251,7 +245,7 @@ def _cmd_ber(opts):
     snr_points = _parse_snr_range(opts["snr_db"])
     digest = config_digest(config, opts["blocks"], opts["seed"], snr_points)
     # opened first: an unwritable path fails before any block is decoded
-    with _open_out(opts["out"]) as fh:
+    with _open_out(opts.get("out")) as fh:
         # looked up on sim per call, so a wrapper set there sees every point
         results = [sim.run_ber_point(config, snr, opts["blocks"], opts["seed"])
                    for snr in snr_points]
@@ -262,7 +256,7 @@ def _cmd_ber(opts):
 def _cmd_bench(opts):
     try:
         modes = [MaxStarMode.from_name(name.strip())
-                 for name in str(opts["alg"]).split(",") if name.strip()]
+                 for name in opts["alg"].split(",") if name.strip()]
     except ValueError as exc:
         raise _CliError(EXIT_BAD_OPTION, str(exc)) from None
     if not modes:
@@ -271,19 +265,15 @@ def _cmd_bench(opts):
         raise _CliError(EXIT_BAD_OPTION, f"--alg {opts['alg']!r} names an algorithm twice")
     config = _decoder_config(opts, modes[0])
     snr = _parse_snr_range(opts["snr_db"], max_points=1)[0]
-    with _open_out(opts["out"]) as fh:
+    with _open_out(opts.get("out")) as fh:
         lines = run_benchmark(config, modes, opts["blocks"], opts["seed"], snr)
         fh.write("\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_interleave(opts):
-    try:
-        params = params_for_block_size(opts["n"])
-    except ValueError as exc:
-        raise _CliError(EXIT_BAD_BLOCK_SIZE, str(exc))
-    pi = permutation(params)
-    with _open_out(opts["out"]) as fh:
+    pi = permutation(_qpp(opts["n"]))
+    with _open_out(opts.get("out")) as fh:
         fh.write("x,fx\n")
         for x, fx in enumerate(pi):
             fh.write(f"{x},{fx}\n")
@@ -293,13 +283,8 @@ def _cmd_interleave(opts):
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
-        opts = _effective(args, file_values)
-        if args.command == "ber":
-            return _cmd_ber(opts)
-        if args.command == "bench":
-            return _cmd_bench(opts)
-        return _cmd_interleave(opts)
+        run = {"ber": _cmd_ber, "bench": _cmd_bench, "interleave": _cmd_interleave}
+        return run[args.command](_options(args))
     except _CliError as exc:
         print("turbosim:", " ".join(str(exc).splitlines()), file=sys.stderr)
         return exc.code

@@ -13,6 +13,7 @@ Index arithmetic is done in 64-bit integers: the largest intermediate,
 f2 * 6143**2, is about 1.8e10 and would overflow 32 bits.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,15 @@ _QPP_TABLE = {
 }
 
 
+def check_integer(name: str, value) -> int:
+    """value as a Python int: integers of any type pass; a float or other
+    non-integer raises TypeError rather than being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class QppParams:
     """Block size and polynomial coefficients of one interleaver.
@@ -116,9 +126,9 @@ def block_sizes() -> tuple[int, ...]:
 
 def qpp_index(params: QppParams, x: int) -> int:
     """Evaluate f(x) = (f2*x^2 + f1*x) mod n for a single index."""
+    x = check_integer("x", x)
     if not 0 <= x < params.n:
         raise ValueError(f"index {x} out of range [0, {params.n})")
-    x = int(x)
     return (params.f2 * x * x + params.f1 * x) % params.n
 
 

@@ -66,7 +66,7 @@ def run_benchmark(config: DecoderConfig, modes, num_blocks: int, seed: int,
     that time; absolute numbers are machine-dependent, only the relative
     ordering of the modes is meaningful.
     """
-    n, iterations = config.n, config.iterations
+    n, iterations = config.qpp.n, config.iterations
     quant = "none" if config.quantization is None else "%d:%d" % config.quantization
     lines = [f"benchmark: n={n} blocks={num_blocks} iterations={iterations} "
              f"window_len={config.window_len} acq_len={config.acquisition_len} "

@@ -88,8 +88,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import as_float_array, check_integer
+from .channel import as_float_array
 from .maxstar import METRIC_NEG_INF, MaxStarMode, max_star, max_star_reduce
+from .qpp import check_integer
 from .trellis import EDGES
 
 _LLR_LIMIT = 1.0e250   # largest |LLR| a SisoInput accepts; see METRIC_NEG_INF

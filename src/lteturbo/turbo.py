@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import KEY_LIMIT, ChannelConfig, block_rng, bpsk_modulate, \
-    check_integer, check_key_word, check_noise_variance, llr_demap, \
-    rekey_block_rng, serialize_codeword, split_llrs
+    check_key_word, check_noise_variance, llr_demap, rekey_block_rng, \
+    serialize_codeword, split_llrs
 from .maxstar import MaxStarMode
-from .qpp import QppParams, inverse_permutation, permutation
+from .qpp import QppParams, check_integer, inverse_permutation, permutation
 from .siso import _LLR_LIMIT, OpCounts, SisoInput, quantize_llrs, siso_decode
 from .trellis import CodeWord, turbo_encode
 
@@ -79,10 +79,6 @@ class DecoderConfig:
             quantize_llrs(0.0, bits, frac)  # validates the pair: integers, in range
             object.__setattr__(self, "quantization", (int(bits), int(frac)))
 
-    @property
-    def n(self) -> int | None:
-        return None if self.qpp is None else self.qpp.n
-
 
 @dataclass
 class DecodeResult:
@@ -112,6 +108,10 @@ def turbo_decode(ch: CodeWord, config: DecoderConfig,
     vector after every full iteration (per_iteration_llrs[i] for
     iteration i+1).
     """
+    if not isinstance(ch, CodeWord):
+        raise TypeError(f"ch must be a CodeWord, got {ch!r}")
+    if not isinstance(config, DecoderConfig):
+        raise TypeError(f"config must be a DecoderConfig, got {config!r}")
     qpp = config.qpp
     if qpp is None:
         raise ValueError("turbo decoding needs DecoderConfig.qpp")

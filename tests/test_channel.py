@@ -282,3 +282,16 @@ class TestSerialization:
     def test_split_length_check(self):
         with pytest.raises(ValueError):
             split_llrs(np.zeros(100), 40)
+
+    @pytest.mark.parametrize("llrs, n, error", [
+        (np.zeros(0), -4, ValueError), (np.zeros(12), 0, ValueError),
+        (np.zeros(132), 40.0, TypeError), (np.zeros(132), "40", TypeError),
+    ], ids=["-4", "0", "40.0", "str"])
+    def test_split_block_size_is_a_positive_integer(self, llrs, n, error):
+        # n=-4 returned a code word of 0 LLRs, and 40.0 failed in np.split
+        with pytest.raises(error, match="block size|n must be an integer"):
+            split_llrs(llrs, n)
+
+    def test_split_refuses_a_scalar(self):
+        with pytest.raises(ValueError, match="expected 132 LLRs"):
+            split_llrs(1.0, 40)

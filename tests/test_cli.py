@@ -306,6 +306,70 @@ class TestBadOptions:
         monkeypatch.setenv("TURBOSIM_THREADS", "abc")
         assert main(BER_40 + ["--out", str(tmp_path / "ber.csv")]) == 0
 
+    @pytest.mark.parametrize("command", ["ber", "bench", "interleave"])
+    @pytest.mark.parametrize("line", ["threads=abc", "iters=abc", "window-len=1.5",
+                                      "acq-len=", "blocks=two", "seed=0x1", "n=forty"])
+    def test_config_file_values_are_typed_whatever_the_subcommand(
+            self, tmp_path, capsys, command, line):
+        # threads=abc ran, and so did every key the subcommand does not take
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"n=40\niters=1\nblocks=1\n{line}\n")
+        assert main([command, "--config", str(cfg)]) == 6
+        key, _, value = line.partition("=")
+        assert capsys.readouterr().err.splitlines() == [
+            f"turbosim: config file: bad value {value!r} for {key}"]
+
+    def test_config_file_value_is_typed_when_a_flag_overrides_it(self, tmp_path, capsys):
+        # the file is checked when it is read, before the flags are merged
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("iters=abc\n")
+        assert_one_line_error(capsys, BER_40 + ["--config", str(cfg)], 6)
+
+    def test_config_file_key_config_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"config={cfg}\n")
+        assert_one_line_error(capsys, ["interleave", "--config", str(cfg)], 6)
+
+
+@pytest.mark.parametrize("argv, options", [
+    (BER_40, {"iterations"}),
+    (["ber", "--n", "40", "--blocks", "1", "--snr-db", "1", "--window-len", "8",
+      "--quant", "6:2"], {"window_len", "quantization"}),
+    (["bench", "--n", "40", "--blocks", "1", "--alg", "max-log", "--acq-len", "4"],
+     {"iterations", "acquisition_len"}),   # bench's own iters=1
+], ids=["ber-iters", "ber-window-quant", "bench"])
+def test_only_the_decoder_options_set_reach_decoder_config(tmp_path, monkeypatch,
+                                                          argv, options):
+    # the others keep DecoderConfig's own defaults, stated nowhere else
+    given = []
+    monkeypatch.setattr(cli, "DecoderConfig",
+                        lambda **kwargs: given.append(kwargs) or DecoderConfig(**kwargs))
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert [set(kwargs) for kwargs in given] == [{"mode", "qpp"} | options]
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    (["--n", "40", "--iters", "2", "--blocks", "4"],
+     "39ee97b7e922de515d9d0e4b25ff9d3db227a3a49bd2c209d33f6df6eaad0c18"),
+    (["--n", "48", "--alg", "linear", "--iters", "2", "--snr-db", "0:0.5:1", "--blocks", "6",
+      "--seed", "3", "--window-len", "16", "--acq-len", "8", "--quant", "6:2"],
+     "e18f8cc81a9712255a8a6d343cd2b55cf15138557fc5b3d9f82c722af81895c7"),
+], ids=["decoder-defaults", "every-option"])
+def test_ber_output_is_pinned(tmp_path, argv, sha256):
+    out = tmp_path / "ber.csv"
+    assert main(["ber"] + argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("command", ["ber", "bench", "interleave"])
+def test_help_names_each_option(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for key in cli._COMMANDS[command][1]:
+        assert f"--{key.replace('_', '-')} " in out, key
+
 
 def test_every_decoder_config_field_is_a_flag():
     # a DecoderConfig field that no turbosim flag sets is a knob no run uses

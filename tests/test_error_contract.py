@@ -14,6 +14,7 @@ import io
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -21,11 +22,12 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lteturbo import cli
-from lteturbo.channel import ChannelConfig, llr_demap
+from lteturbo.channel import ChannelConfig, llr_demap, split_llrs
 from lteturbo.maxstar import MaxStarMode
-from lteturbo.qpp import params_for_block_size
+from lteturbo.qpp import params_for_block_size, qpp_index
 from lteturbo.siso import SisoInput, quantize_llrs
-from lteturbo.turbo import DecoderConfig, run_monte_carlo, simulate_blocks
+from lteturbo.trellis import rsc_encode, turbo_encode
+from lteturbo.turbo import DecoderConfig, run_monte_carlo, simulate_blocks, turbo_decode
 
 QPP40 = params_for_block_size(40)
 
@@ -40,12 +42,12 @@ ARRAYS = st.one_of(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_side=
 
 
 def refused_or_returned(call, *args, **kwargs):
-    """call(*args, **kwargs); a ValueError or TypeError is a refusal, and
-    any other exception propagates."""
+    """call(*args, **kwargs), or None for a refusal, a ValueError or
+    TypeError; any other exception propagates."""
     try:
-        call(*args, **kwargs)
+        return call(*args, **kwargs)
     except (ValueError, TypeError):
-        pass
+        return None
 
 
 @settings(max_examples=150, deadline=None)
@@ -116,6 +118,66 @@ def test_llr_demap(received, noise_variance):
     refused_or_returned(llr_demap, received, noise_variance)
 
 
+BIT_DTYPES = st.sampled_from([np.uint8, np.int64, np.float64])
+
+
+def bit_arrays(shapes):
+    """0/1 arrays of the drawn shapes, arrays of any float of those shapes,
+    short lists that may hold a value other than 0 or 1, or hostile values."""
+    return st.one_of(
+        shapes.flatmap(lambda shape: hnp.arrays(BIT_DTYPES, shape, elements=st.sampled_from([0, 1]))),
+        shapes.flatmap(lambda shape: hnp.arrays(np.float64, shape)),
+        st.lists(st.sampled_from([0, 1, 2, -1, 0.5, True]), max_size=6), HOSTILE)
+
+
+def only_bits(bits):
+    return bool(np.isin(np.asarray(bits), (0, 1)).all())
+
+
+@settings(max_examples=150, deadline=None)
+@given(bits=bit_arrays(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=9)))
+@example(bits=np.full(5, 3))
+@example(bits=np.full(5, 0.5))
+def test_rsc_encode(bits):
+    # returned only for 0/1 bits, and then as 0/1 bits
+    encoded = refused_or_returned(rsc_encode, bits)
+    if encoded is not None:
+        assert only_bits(bits) and all(only_bits(stream) for stream in encoded)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bits=bit_arrays(st.sampled_from([(40,), (2, 40), (0, 40), (39,), ()])))
+@example(bits=np.full(40, 2))
+@example(bits=np.full(40, 0.5))
+@example(bits=np.array(0))
+def test_turbo_encode(bits):
+    cw = refused_or_returned(turbo_encode, bits, QPP40)
+    if cw is not None:
+        assert np.array_equal(cw.systematic, bits)
+        assert all(only_bits(getattr(cw, f.name)) for f in fields(cw))
+
+
+@settings(max_examples=150, deadline=None)
+@given(llrs=st.one_of(hnp.arrays(np.float64, st.sampled_from([(132,), (2, 132), (12,), (0,)])),
+                      ARRAYS),
+       n=st.one_of(st.sampled_from([40, 0, -4]), HOSTILE))
+@example(llrs=np.zeros(0), n=-4)
+@example(llrs=np.zeros(132), n=40.0)
+def test_split_llrs(llrs, n):
+    ch = refused_or_returned(split_llrs, llrs, n)
+    if ch is not None:
+        assert n >= 1 and ch.systematic.shape[-1] == n
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.one_of(st.integers(-2, 41), HOSTILE))
+@example(x=1.5)
+def test_qpp_index(x):
+    fx = refused_or_returned(qpp_index, QPP40, x)
+    if fx is not None:
+        assert isinstance(x, int) and fx == (10 * x * x + 3 * x) % 40
+
+
 @st.composite
 def block_ranges(draw):
     """(lo, hi): an integer lo with hi at most two blocks past it, or hostile.
@@ -160,6 +222,25 @@ def test_run_monte_carlo(config, snr_db, num_blocks, seed, per_iteration):
                         per_iteration=per_iteration)
 
 
+@st.composite
+def channel_llrs(draw):
+    """A code word of LLRs, unbatched or two blocks, n=40 or 48, some of
+    them NaN, infinite or beyond the decoder's bound."""
+    n = draw(st.sampled_from([40, 48]))
+    shape = draw(st.sampled_from([(), (2,)])) + (3 * n + 12,)
+    values = st.one_of(st.floats(-30, 30), st.sampled_from([np.nan, np.inf, -1e300]))
+    return split_llrs(draw(hnp.arrays(np.float64, shape, elements=values)), n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ch=st.one_of(channel_llrs(), HOSTILE),
+       config=st.one_of(DECODER_CONFIGS, HOSTILE))
+@example(ch=None, config=DecoderConfig(iterations=1, qpp=QPP40))
+@example(ch=split_llrs(np.ones(132), 40), config=None)
+def test_turbo_decode(ch, config):
+    refused_or_returned(turbo_decode, ch, config)
+
+
 # ---------------------------------------------------------------------------
 # The command line's contract: every turbosim run ends in a documented
 # exit code, and a non-zero one prints exactly one `turbosim:` line on
@@ -196,7 +277,7 @@ CLI_VALUES = {
     "window-len": (["1", "8", "40", BIG], ["0", "-1", "-" + BIG]),
     "acq-len": (["0", "4", "64", BIG], ["-1", "-" + BIG]),
     "quant": (["6:2", "16:15", "2:0"], ["1:0", "99:1", "6", "6:2:1", "a:b", BIG + ":2", ""]),
-    "threads": (["1", "2", BIG, "-" + BIG, "0"], []),
+    "threads": (["1", "2", BIG, "-" + BIG, "0"], ["abc", "1.5", ""]),
     "snr-db": (["1", "-5", "1000", "0:1:2"],
                ["nan", "inf", "-inf", "1e400", "1000.5", "0:0:1", "2:1:0", "0:1e-300:1",
                 "0:nan:1", "0:1", "1:2:3:4"]),

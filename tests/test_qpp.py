@@ -42,6 +42,14 @@ def test_index_range_check():
         qpp_index(p, -1)
 
 
+@pytest.mark.parametrize("x", [1.5, 1.0, "1", None])
+def test_index_must_be_an_integer(x):
+    # 1.5 was truncated to 1 after the range check and returned f(1) = 13
+    with pytest.raises(TypeError, match="x must be an integer"):
+        qpp_index(params_for_block_size(40), x)
+    assert qpp_index(params_for_block_size(40), np.int64(1)) == 13
+
+
 def test_whole_table_is_valid():
     # bijectivity, f1 odd, f2 even for every entry; QppParams.__post_init__
     # enforces all three, so construction succeeding is the check

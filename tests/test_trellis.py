@@ -62,6 +62,22 @@ class TestRscEncode:
         with pytest.raises(ValueError):
             rsc_encode(np.array([], dtype=np.uint8))
 
+    @pytest.mark.parametrize("bits, error", [
+        (np.full(5, 3), ValueError), (np.full(5, 0.5), ValueError),
+        (np.array([0, 1, np.nan]), ValueError), (np.array(1), ValueError),
+        (["0", "1"], TypeError), ([1j, 0], TypeError), (10 ** 400, TypeError),
+    ], ids=["3", "0.5", "nan", "0-d", "strings", "complex", "beyond-int64"])
+    def test_only_0_or_1_bits(self, bits, error):
+        # 3 was encoded as [3 0 3 0 0], 0.5 as a 0
+        with pytest.raises(error, match="bits"):
+            rsc_encode(bits)
+
+    def test_bool_and_float_bits(self):
+        bits = np.array([1, 0, 1, 1, 0, 0, 1], dtype=np.uint8)
+        for same in (bits.astype(bool), bits.astype(float), bits.tolist()):
+            for got, want in zip(rsc_encode(same), rsc_encode(bits)):
+                assert got.dtype == np.uint8 and np.array_equal(got, want)
+
     def test_all_zero_input(self):
         parity, tail_info, tail_parity = rsc_encode(np.zeros(8, dtype=np.uint8))
         assert not parity.any()
@@ -161,6 +177,16 @@ class TestTurboEncode:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="block size"):
             turbo_encode(np.zeros(48, dtype=np.uint8), params_for_block_size(40))
+
+    @pytest.mark.parametrize("bits, error", [
+        (np.full(40, 2), ValueError), (np.full(40, 0.5), ValueError),
+        (np.array(0), ValueError), (np.full(40, "1"), TypeError), (None, TypeError),
+    ], ids=["2", "0.5", "0-d", "strings", "None"])
+    def test_only_0_or_1_bits(self, bits, error):
+        # 2 reached the systematic stream, 0.5 became a 0, and a 0-d input
+        # raised IndexError
+        with pytest.raises(error, match="bits"):
+            turbo_encode(bits, params_for_block_size(40))
 
     def test_high_snr_round_trip(self):
         qpp = params_for_block_size(40)

@@ -89,6 +89,20 @@ class TestDecoderConfig:
         with pytest.raises(ValueError, match="qpp"):
             turbo_decode(ch, DecoderConfig(iterations=1))
 
+    @pytest.mark.parametrize("ch, config, match", [
+        (None, DecoderConfig(iterations=1, qpp=QPP40), "ch must be a CodeWord"),
+        ("llrs", DecoderConfig(iterations=1, qpp=QPP40), "ch must be a CodeWord"),
+        (np.zeros(132), DecoderConfig(iterations=1, qpp=QPP40), "ch must be a CodeWord"),
+        (noiseless_llrs(np.zeros(40, dtype=np.uint8), QPP40), None,
+         "config must be a DecoderConfig"),
+        (noiseless_llrs(np.zeros(40, dtype=np.uint8), QPP40), QPP40,
+         "config must be a DecoderConfig"),
+    ], ids=["ch-None", "ch-str", "ch-array", "config-None", "config-QppParams"])
+    def test_turbo_decode_argument_types(self, ch, config, match):
+        # each raised AttributeError
+        with pytest.raises(TypeError, match=match):
+            turbo_decode(ch, config)
+
 
 class TestTurboDecode:
     @pytest.mark.parametrize("mode", list(MaxStarMode))
