@@ -37,7 +37,7 @@ import os
 import sys
 from contextlib import contextmanager
 
-from . import sim
+from . import _checks, sim
 from .maxstar import MaxStarMode
 from .qpp import params_for_block_size, permutation
 from .sim import config_digest, run_benchmark, write_ber_csv
@@ -223,17 +223,15 @@ _DECODER_FIELDS = {"iterations": "iters", "window_len": "window_len",
 def _decoder_config(opts, mode):
     """The run's DecoderConfig, after checking every option a run uses."""
     qpp = _qpp(opts["n"])
-    if opts["blocks"] < 1:
-        raise _CliError(EXIT_BAD_OPTION, f"--blocks must be >= 1, got {opts['blocks']}")
-    if not 0 <= opts["seed"] < 2 ** 64:
-        raise _CliError(EXIT_BAD_OPTION, f"--seed must be in [0, 2**64), got {opts['seed']}")
     given = {field: opts[key] for field, key in _DECODER_FIELDS.items() if key in opts}
     if "quantization" in given:
         given["quantization"] = _parse_quant(given["quantization"])
     try:
+        _checks.integer("--blocks", opts["blocks"], 1)
+        _checks.key_word("--seed", opts["seed"])
         return DecoderConfig(mode=mode, qpp=qpp, **given)
     except ValueError as exc:
-        raise _CliError(EXIT_BAD_OPTION, f"bad decoder option: {exc}") from None
+        raise _CliError(EXIT_BAD_OPTION, f"bad option: {exc}") from None
 
 
 def _cmd_ber(opts):

@@ -55,6 +55,8 @@ import enum
 
 import numpy as np
 
+from . import _checks
+
 # Sentinel standing in for -inf on the metric scale.
 METRIC_NEG_INF = -1.0e300
 # The fixed correction constants (see the module docstring).
@@ -83,8 +85,10 @@ def max_star(x, y, mode: MaxStarMode = MaxStarMode.LOG_MAP):
 
     Writes neither input; see the module docstring for the temporaries.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    try:   # _checks only where numpy fails: no Python call per stage step
+        x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    except OverflowError:
+        x, y = _checks.float_array(x), _checks.float_array(y)   # raises ValueError
     m = np.maximum(x, y)
     if mode is MaxStarMode.MAX_LOG:
         return m
@@ -127,8 +131,13 @@ def max_star_reduce(values, mode: MaxStarMode = MaxStarMode.LOG_MAP, axis: int =
     inside a batch.  The approximate modes are not associative, hence
     the explicit left-to-right fold of max_star.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape == () or values.shape[axis] == 0:
+    try:   # _checks only where numpy fails, as in max_star
+        values = np.asarray(values, dtype=np.float64)
+        empty = values.shape == () or values.shape[axis] == 0
+    except (OverflowError, IndexError):   # a value beyond float64 or an axis out of range
+        values = _checks.float_array(values)
+        _checks.integer("axis", axis, -values.ndim, values.ndim - 1)
+    if empty:
         raise ValueError("max_star_reduce needs a non-empty axis to reduce")
     if mode is MaxStarMode.MAX_LOG:
         return np.maximum.reduce(values, axis=axis)

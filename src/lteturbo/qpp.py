@@ -13,10 +13,11 @@ Index arithmetic is done in 64-bit integers: the largest intermediate,
 f2 * 6143**2, is about 1.8e10 and would overflow 32 bits.
 """
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _checks
 
 # (f1, f2) per block size, transcribed from TS 36.212 Table 5.1.3-3.
 # Keys run 40..512 step 8, 528..1024 step 16, 1056..2048 step 32,
@@ -72,22 +73,13 @@ _QPP_TABLE = {
 }
 
 
-def check_integer(name: str, value) -> int:
-    """value as a Python int: integers of any type pass; a float or other
-    non-integer raises TypeError rather than being truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class QppParams:
     """Block size and polynomial coefficients of one interleaver.
 
-    Construction validates the structural constraints: f1 odd, f2 even,
-    n a positive multiple of 4, and f(x) a bijection on 0..n-1 (checked
-    exhaustively; cheap even at n=6144).
+    Construction validates the structural constraints, stores the three
+    as Python ints: n a multiple of 4 up to 6144, f1 odd and f2 even in
+    [0, n), f(x) a bijection on 0..n-1 (checked exhaustively, cheap).
     """
 
     n: int
@@ -95,16 +87,19 @@ class QppParams:
     f2: int
 
     def __post_init__(self):
-        if self.n <= 0 or self.n % 4 != 0:
-            raise ValueError(f"block size must be a positive multiple of 4, got {self.n}")
-        if self.f1 % 2 != 1:
-            raise ValueError(f"f1 must be odd, got {self.f1}")
-        if self.f2 % 2 != 0:
-            raise ValueError(f"f2 must be even, got {self.f2}")
-        x = np.arange(self.n, dtype=np.int64)
-        f = (self.f2 * x * x + self.f1 * x) % self.n
-        if not np.array_equal(np.sort(f), x):
-            raise ValueError(f"f(x) is not a bijection for (n={self.n}, f1={self.f1}, f2={self.f2})")
+        n = _checks.integer("block size", self.n, 1, 6144)
+        if n % 4 != 0:
+            raise ValueError(f"block size must be a positive multiple of 4, got {n}")
+        f1, f2 = (_checks.integer(name, getattr(self, name), 0, n - 1) for name in ("f1", "f2"))
+        if f1 % 2 != 1:
+            raise ValueError(f"f1 must be odd, got {f1}")
+        if f2 % 2 != 0:
+            raise ValueError(f"f2 must be even, got {f2}")
+        for name, value in (("n", n), ("f1", f1), ("f2", f2)):
+            object.__setattr__(self, name, value)
+        x = np.arange(n, dtype=np.int64)
+        if not np.array_equal(np.sort((f2 * x * x + f1 * x) % n), x):
+            raise ValueError(f"f(x) is not a bijection for (n={n}, f1={f1}, f2={f2})")
 
 
 def params_for_block_size(n: int) -> QppParams:
@@ -126,9 +121,8 @@ def block_sizes() -> tuple[int, ...]:
 
 def qpp_index(params: QppParams, x: int) -> int:
     """Evaluate f(x) = (f2*x^2 + f1*x) mod n for a single index."""
-    x = check_integer("x", x)
-    if not 0 <= x < params.n:
-        raise ValueError(f"index {x} out of range [0, {params.n})")
+    _checks.instance("params", params, QppParams)
+    x = _checks.integer("x", x, 0, params.n - 1)
     return (params.f2 * x * x + params.f1 * x) % params.n
 
 
@@ -137,6 +131,7 @@ def permutation(params: QppParams) -> np.ndarray:
 
     Interleaving a vector v is the gather v[pi].
     """
+    _checks.instance("params", params, QppParams)
     x = np.arange(params.n, dtype=np.int64)
     return (params.f2 * x * x + params.f1 * x) % params.n
 

@@ -88,9 +88,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import as_float_array
+from . import _checks
 from .maxstar import METRIC_NEG_INF, MaxStarMode, max_star, max_star_reduce
-from .qpp import check_integer
+from .qpp import QppParams
 from .trellis import EDGES
 
 _LLR_LIMIT = 1.0e250   # largest |LLR| a SisoInput accepts; see METRIC_NEG_INF
@@ -146,10 +146,10 @@ def compute_branch_metrics(lu, lc2, axis: int = -1) -> np.ndarray:
     of the result (last by default).  Every edge's metric is +g1, -g1,
     +g2 or -g2; _edge_wiring says which.
     """
-    lu = np.asarray(lu, dtype=np.float64)
-    lc2 = np.asarray(lc2, dtype=np.float64)
+    lu = _checks.float_array(lu)
+    lc2 = _checks.float_array(lc2)
     shape = np.broadcast_shapes(lu.shape, lc2.shape)
-    axis %= len(shape) + 1
+    axis = _checks.integer("axis", axis, -len(shape) - 1, len(shape)) % (len(shape) + 1)
     # written in place: no block-sized temporaries besides the table
     table = np.empty(shape[:axis] + (2,) + shape[axis:])
     g = np.moveaxis(table, axis, 0)   # g[i, ...] is an array, even 0-d
@@ -263,6 +263,41 @@ def track_stage_times():
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class DecoderConfig:
+    """Everything the decoder needs to know about one configuration.
+
+    qpp may be omitted for component-level (single SISO) use; the turbo
+    entry points require it.  quantization, when set to (bits, frac_bits),
+    applies saturating fixed-point rounding to the channel LLRs on entry
+    and to each extrinsic stream as it is exchanged, approximating a
+    fixed-point decoder's LLR memories.  window_len=None decodes each
+    block as a single window, which is the exact-reference schedule.
+    """
+    mode: MaxStarMode = MaxStarMode.MAX_LOG
+    iterations: int = 8
+    qpp: QppParams | None = None
+    window_len: int | None = None
+    acquisition_len: int = 32
+    quantization: tuple[int, int] | None = None
+
+    def __post_init__(self):
+        # refused here, not deep inside a decode
+        _checks.instance("mode", self.mode, MaxStarMode)
+        _checks.instance("qpp", self.qpp, (QppParams, type(None)), "QppParams or None")
+        for name, lo in (("iterations", 1), ("window_len", 1), ("acquisition_len", 0)):
+            value = getattr(self, name)
+            if value is not None or name != "window_len":   # None: no windows
+                object.__setattr__(self, name, _checks.integer(name, value, lo))
+        if self.quantization is not None:
+            q = _checks.instance("quantization", self.quantization, (tuple, list),
+                                 "tuple or list (bits, frac_bits)")
+            if len(q) != 2:
+                raise ValueError(f"quantization must be a pair (bits, frac_bits), got {q!r}")
+            quantize_llrs(0.0, *q)   # checks the pair
+            object.__setattr__(self, "quantization", tuple(map(int, q)))
+
+
+@dataclass(frozen=True)
 class SisoInput:
     """One constituent decoder's inputs.
 
@@ -282,29 +317,18 @@ class SisoInput:
     tail_lc2: np.ndarray | None = None
 
     def __post_init__(self):
-        lu = as_float_array(self.lu)
-        lc2 = as_float_array(self.lc2)
+        if (self.tail_lu is None) != (self.tail_lc2 is None):
+            raise ValueError("a tail needs both tail_lu and tail_lc2, or neither")
+        names = ("lu", "lc2") + (() if self.tail_lu is None else ("tail_lu", "tail_lc2"))
+        lu, lc2, *tail = streams = [_checks.float_array(getattr(self, name)) for name in names]
         if lu.shape != lc2.shape:
             raise ValueError(f"input streams disagree in shape: {lu.shape}, {lc2.shape}")
         if lu.ndim == 0 or lu.shape[-1] == 0:
             raise ValueError(f"a block needs at least one stage, got shape {lu.shape}")
-        if (self.tail_lu is None) != (self.tail_lc2 is None):
-            raise ValueError("a tail needs both tail_lu and tail_lc2, or neither")
-        to_check = [lu, lc2]
-        object.__setattr__(self, "lu", lu)
-        object.__setattr__(self, "lc2", lc2)
-        if self.tail_lu is not None:
-            tail_shape = lu.shape[:-1] + (3,)
-            tail_lu = as_float_array(self.tail_lu)
-            tail_lc2 = as_float_array(self.tail_lc2)
-            if not (tail_lu.shape == tail_lc2.shape == tail_shape):
-                raise ValueError("tail LLRs must have shape (..., 3) matching the block batch")
-            to_check += [tail_lu, tail_lc2]
-            object.__setattr__(self, "tail_lu", tail_lu)
-            object.__setattr__(self, "tail_lc2", tail_lc2)
-        for a in to_check:   # NaN fails the <=, so NaN and inf are rejected too
-            if not np.abs(a).max(initial=0.0) <= _LLR_LIMIT:
-                raise ValueError(f"input LLRs must be finite and within +-{_LLR_LIMIT:g}")
+        if tail and not tail[0].shape == tail[1].shape == lu.shape[:-1] + (3,):
+            raise ValueError("tail LLRs must have shape (..., 3) matching the block batch")
+        for name, a in zip(names, streams):
+            object.__setattr__(self, name, _checks.bounded("input LLRs", a, _LLR_LIMIT))
 
     @property
     def n(self) -> int:
@@ -373,7 +397,8 @@ def siso_decode(inp: SisoInput, config) -> SisoResult:
         reduction over the eight u=-1 edges of alpha + gamma + beta at
         stage k; extrinsic = llr_out - lu.
     """
-    mode = config.mode
+    _checks.instance("inp", inp, SisoInput)
+    mode = _checks.instance("config", config, DecoderConfig).mode
     n = inp.n
     batch = inp.batch_shape
     blocks = int(np.prod(batch, dtype=np.int64))
@@ -494,13 +519,9 @@ def quantize_llrs(llrs, bits: int, frac_bits: int) -> np.ndarray:
     [-2**(bits-1), 2**(bits-1) - 1] grid steps.  Output stays on the
     real LLR scale.  Ties round to even (IEEE default).
     """
-    bits = check_integer("bits", bits)
-    frac_bits = check_integer("frac_bits", frac_bits)
-    if not 2 <= bits <= 16:
-        raise ValueError(f"bits must be in [2, 16], got {bits}")
-    if not 0 <= frac_bits < bits:
-        raise ValueError(f"frac_bits must be in [0, bits), got {frac_bits}")
+    bits = _checks.integer("bits", bits, 2, 16)
+    frac_bits = _checks.integer("frac_bits", frac_bits, 0, bits - 1)
     step = 2.0 ** -frac_bits
     lo = -(2 ** (bits - 1)) * step
     hi = (2 ** (bits - 1) - 1) * step
-    return np.clip(np.round(as_float_array(llrs) / step) * step, lo, hi)
+    return np.clip(np.round(_checks.float_array(llrs) / step) * step, lo, hi)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .qpp import QppParams, permutation
 
 NUM_STATES = 8
@@ -59,17 +60,6 @@ EDGES = tuple(TrellisEdge(start_state=s, end_state=ns, u=1 - 2 * bit, c2=1 - 2 *
               for ns, parity in [_rsc_step(s, bit)])
 
 
-def _as_bits(bits) -> np.ndarray:
-    """bits as uint8, at least one per block; a value other than 0 or 1 raises
-    ValueError (TypeError if it is not a real number) rather than being cast."""
-    bits = np.asarray(bits)
-    if bits.dtype.kind not in "biuf":
-        raise TypeError(f"bits must be real numbers, got dtype {bits.dtype}")
-    if bits.ndim == 0 or bits.shape[-1] < 1 or not np.all((bits == 0) | (bits == 1)):
-        raise ValueError("bits must each be 0 or 1, at least one per block")
-    return bits.astype(np.uint8, copy=False)
-
-
 def rsc_encode(bits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Encode information bits with the constituent RSC code.
 
@@ -91,7 +81,7 @@ def rsc_encode(bits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     fixed filter followed by a stride-7 XOR prefix, and the parity is
     w (1 + D + D^3).
     """
-    bits = _as_bits(bits)
+    bits = _checks.bits(bits)
     lead = bits.shape[:-1]
     n = bits.shape[-1]
     m = -(-n // 7) * 7   # n rounded up to whole rows of 7
@@ -137,10 +127,10 @@ def turbo_encode(bits, params: QppParams) -> CodeWord:
     input directly, parity2 from encoding the QPP-permuted input.  Both
     constituent encoders are terminated independently.
     """
-    bits = _as_bits(bits)
+    bits = _checks.bits(bits)
+    pi = permutation(params)
     if bits.shape[-1] != params.n:
         raise ValueError(f"input length {bits.shape[-1]} does not match block size {params.n}")
-    pi = permutation(params)
     parity1, *tail1 = rsc_encode(bits)
     parity2, *tail2 = rsc_encode(bits[..., pi])
     return CodeWord(bits, parity1, parity2, *tail1, *tail2)

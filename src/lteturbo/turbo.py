@@ -26,58 +26,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import KEY_LIMIT, ChannelConfig, block_rng, bpsk_modulate, \
-    check_key_word, check_noise_variance, llr_demap, rekey_block_rng, \
-    serialize_codeword, split_llrs
-from .maxstar import MaxStarMode
-from .qpp import QppParams, check_integer, inverse_permutation, permutation
-from .siso import _LLR_LIMIT, OpCounts, SisoInput, quantize_llrs, siso_decode
+from . import _checks
+from .channel import ChannelConfig, block_rng, bpsk_modulate, llr_demap, \
+    rekey_block_rng, serialize_codeword, split_llrs
+from .qpp import QppParams, inverse_permutation, permutation
+from .siso import _LLR_LIMIT, DecoderConfig, OpCounts, SisoInput, quantize_llrs, siso_decode
 from .trellis import CodeWord, turbo_encode
 
 _EXCHANGE_LIMIT = 0.5 * _LLR_LIMIT   # see the module docstring
-
-
-@dataclass(frozen=True)
-class DecoderConfig:
-    """Everything the decoder needs to know about one configuration.
-
-    qpp may be omitted for component-level (single SISO) use; the turbo
-    entry points require it.  quantization, when set to (bits, frac_bits),
-    applies saturating fixed-point rounding to the channel LLRs on entry
-    and to each extrinsic stream as it is exchanged, approximating a
-    fixed-point decoder's LLR memories.  window_len=None decodes each
-    block as a single window, which is the exact-reference schedule.
-    """
-    mode: MaxStarMode = MaxStarMode.MAX_LOG
-    iterations: int = 8
-    qpp: QppParams | None = None
-    window_len: int | None = None
-    acquisition_len: int = 32
-    quantization: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        # refused here, not deep inside a decode
-        if not isinstance(self.mode, MaxStarMode):
-            raise TypeError(f"mode must be a MaxStarMode, got {self.mode!r}")
-        if not (self.qpp is None or isinstance(self.qpp, QppParams)):
-            raise TypeError(f"qpp must be a QppParams or None, got {self.qpp!r}")
-        for name in ("iterations", "window_len", "acquisition_len"):
-            value = getattr(self, name)
-            if not (name == "window_len" and value is None):   # None: no windows
-                object.__setattr__(self, name, check_integer(name, value))
-        if self.iterations < 1:
-            raise ValueError("need at least one full iteration")
-        if self.window_len is not None and self.window_len < 1:
-            raise ValueError("window length must be >= 1")
-        if self.acquisition_len < 0:
-            raise ValueError("acquisition length must be >= 0")
-        if self.quantization is not None:
-            if not (isinstance(self.quantization, (tuple, list)) and len(self.quantization) == 2):
-                raise TypeError(f"quantization must be a tuple or list (bits, frac_bits), "
-                                f"got {self.quantization!r}")
-            bits, frac = self.quantization
-            quantize_llrs(0.0, bits, frac)  # validates the pair: integers, in range
-            object.__setattr__(self, "quantization", (int(bits), int(frac)))
 
 
 @dataclass
@@ -108,11 +64,8 @@ def turbo_decode(ch: CodeWord, config: DecoderConfig,
     vector after every full iteration (per_iteration_llrs[i] for
     iteration i+1).
     """
-    if not isinstance(ch, CodeWord):
-        raise TypeError(f"ch must be a CodeWord, got {ch!r}")
-    if not isinstance(config, DecoderConfig):
-        raise TypeError(f"config must be a DecoderConfig, got {config!r}")
-    qpp = config.qpp
+    _checks.instance("ch", ch, CodeWord)
+    qpp = _checks.instance("config", config, DecoderConfig).qpp
     if qpp is None:
         raise ValueError("turbo decoding needs DecoderConfig.qpp")
     if ch.systematic.shape[-1] != qpp.n:
@@ -122,9 +75,7 @@ def turbo_decode(ch: CodeWord, config: DecoderConfig,
     pi = permutation(qpp)
     ip = inverse_permutation(qpp)
 
-    lu = quant(ch.systematic)
-    if not np.abs(lu).max(initial=0.0) <= _EXCHANGE_LIMIT:   # NaN fails the <= too
-        raise ValueError(f"systematic LLRs must be finite and within +-{_EXCHANGE_LIMIT:g}")
+    lu = _checks.bounded("systematic LLRs", quant(ch.systematic), _EXCHANGE_LIMIT)
     parity1 = quant(ch.parity1)
     parity2 = quant(ch.parity2)
     t1i, t1p = quant(ch.tail1_info), quant(ch.tail1_parity)
@@ -183,13 +134,11 @@ def simulate_blocks(qpp: QppParams, noise_variance: float, seed: int, lo: int,
     the same way.  Row i is block lo + i, byte for byte the same in any
     range that holds it.
     """
-    if not isinstance(qpp, QppParams):
-        raise TypeError(f"qpp must be a QppParams, got {qpp!r}")
-    check_key_word("seed", seed)
-    if not 0 <= lo <= hi <= KEY_LIMIT:
-        raise ValueError(f"need 0 <= lo <= hi <= 2**64, got lo={lo}, hi={hi}")
-    noise_variance = check_noise_variance(noise_variance)
-    n = qpp.n
+    n = _checks.instance("qpp", qpp, QppParams).n
+    _checks.key_word("seed", seed)
+    lo = _checks.integer("lo", lo, 0, _checks.KEY_LIMIT)
+    hi = _checks.integer("hi", hi, lo, _checks.KEY_LIMIT)
+    noise_variance = _checks.positive("noise variance", noise_variance)
     bits = np.empty((hi - lo, n), dtype=np.uint8)
     noise = np.empty((hi - lo, 3 * n + 12))
     for i, blk in enumerate(range(lo, hi)):
@@ -242,14 +191,11 @@ def run_monte_carlo(config: DecoderConfig, snr_db: float, num_blocks: int,
     the turbo_decode calls alone; generating and encoding the blocks and
     simulating the channel are not in it.
     """
-    if not isinstance(config, DecoderConfig):
-        raise TypeError(f"config must be a DecoderConfig, got {config!r}")
-    qpp = config.qpp
+    qpp = _checks.instance("config", config, DecoderConfig).qpp
     if qpp is None:
         raise ValueError("Monte-Carlo runs need DecoderConfig.qpp")
-    if num_blocks < 0:
-        raise ValueError(f"num_blocks must be >= 0, got {num_blocks}")
-    check_key_word("seed", seed)
+    num_blocks = _checks.integer("num_blocks", num_blocks, 0)
+    _checks.key_word("seed", seed)
     n = qpp.n
     sigma2 = ChannelConfig.for_block_size(n, snr_db).noise_variance
     batch = _default_batch_size(n)
@@ -282,7 +228,7 @@ def ber_vs_iterations(snr_db: float, config: DecoderConfig, num_blocks: int,
     """BER after each full iteration 1..config.iterations.
 
     Deterministic for a fixed seed; returns an array of length
-    config.iterations.
+    config.iterations, zeros for no blocks (as McResult.ber reads 0.0).
     """
     mc = run_monte_carlo(config, snr_db, num_blocks, seed, per_iteration=True)
-    return mc.per_iteration_bit_errors / mc.info_bits
+    return mc.per_iteration_bit_errors / max(mc.info_bits, 1)

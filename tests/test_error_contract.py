@@ -22,12 +22,15 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lteturbo import cli
-from lteturbo.channel import ChannelConfig, llr_demap, split_llrs
-from lteturbo.maxstar import MaxStarMode
-from lteturbo.qpp import params_for_block_size, qpp_index
-from lteturbo.siso import SisoInput, quantize_llrs
-from lteturbo.trellis import rsc_encode, turbo_encode
-from lteturbo.turbo import DecoderConfig, run_monte_carlo, simulate_blocks, turbo_decode
+from lteturbo.channel import (ChannelConfig, block_rng, bpsk_modulate, llr_demap,
+                              serialize_codeword, split_llrs)
+from lteturbo.maxstar import MaxStarMode, max_star, max_star_reduce
+from lteturbo.qpp import (QppParams, block_sizes, inverse_permutation, params_for_block_size,
+                          permutation, qpp_index)
+from lteturbo.siso import SisoInput, compute_branch_metrics, quantize_llrs, siso_decode
+from lteturbo.trellis import CodeWord, rsc_encode, turbo_encode
+from lteturbo.turbo import (DecoderConfig, ber_vs_iterations, run_monte_carlo, simulate_blocks,
+                            turbo_decode)
 
 QPP40 = params_for_block_size(40)
 
@@ -239,6 +242,132 @@ def channel_llrs(draw):
 @example(ch=split_llrs(np.ones(132), 40), config=None)
 def test_turbo_decode(ch, config):
     refused_or_returned(turbo_decode, ch, config)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.one_of(st.sampled_from([40, 42, 12, 6144, 6148]), st.integers(-8, 200), HOSTILE),
+       f1=st.one_of(st.integers(-1, 45), HOSTILE), f2=st.one_of(st.integers(-1, 45), HOSTILE))
+@example(n=40, f1=3, f2="a")
+@example(n=40.0, f1=3, f2=10)
+def test_qpp_params(n, f1, f2):
+    # an n beyond 6144 is refused before the bijection check's np.arange(n)
+    params = refused_or_returned(QppParams, n, f1, f2)
+    if params is not None:
+        assert all(type(v) is int for v in (params.n, params.f1, params.f2))
+        assert np.array_equal(np.sort(permutation(params)), np.arange(params.n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.one_of(st.sampled_from(block_sizes()), st.integers(-8, 7000), HOSTILE))
+@example(n=40.0)
+def test_params_for_block_size(n):
+    params = refused_or_returned(params_for_block_size, n)
+    if params is not None:
+        assert type(params.n) is int and params.n == n
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=st.one_of(st.just(QPP40), HOSTILE), x=st.one_of(st.integers(-2, 41), HOSTILE))
+@example(params=None, x=1)
+@example(params=40, x=1)
+def test_interleaver_of_hostile_params(params, x):
+    pi = refused_or_returned(permutation, params)
+    ip = refused_or_returned(inverse_permutation, params)
+    fx = refused_or_returned(qpp_index, params, x)
+    assert (pi is None) == (ip is None)
+    if pi is not None:
+        assert np.array_equal(ip[pi], np.arange(params.n))
+        assert fx is None or fx == pi[int(x)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.one_of(st.integers(0, 2 ** 64 - 1), HOSTILE),
+       block_index=st.one_of(st.integers(0, 2 ** 64 - 1), HOSTILE))
+def test_block_rng(seed, block_index):
+    refused_or_returned(block_rng, seed, block_index)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bits=bit_arrays(hnp.array_shapes(min_dims=0, max_dims=2, max_side=5)))
+@example(bits=[10 ** 400])
+def test_bpsk_modulate(bits):
+    refused_or_returned(bpsk_modulate, bits)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cw=st.one_of(st.builds(CodeWord, *[ARRAYS] * 7),
+                    st.sampled_from([turbo_encode(np.zeros(40), QPP40),
+                                     split_llrs(np.zeros((2, 132)), 40)]),
+                    HOSTILE))
+@example(cw=None)
+@example(cw=QPP40)
+def test_serialize_codeword(cw):
+    refused_or_returned(serialize_codeword, cw)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lu=ARRAYS, lc2=ARRAYS, axis=st.one_of(st.integers(-4, 4), HOSTILE))
+@example(lu=[10 ** 400], lc2=[1.0], axis=-1)
+@example(lu=[1.0], lc2=[1.0], axis=5)
+def test_compute_branch_metrics(lu, lc2, axis):
+    table = refused_or_returned(compute_branch_metrics, lu, lc2, axis)
+    if table is not None:
+        assert table.ndim >= 1 and 2 in table.shape
+
+
+@st.composite
+def siso_inputs(draw):
+    """A SisoInput of one block or two, n in 1..9, with or without a tail,
+    its LLRs up to SisoInput's bound."""
+    lead = draw(st.sampled_from([(), (2,)]))
+    n = draw(st.integers(1, 9))
+    llrs = st.one_of(st.floats(-30, 30), st.sampled_from([1e250, -1e250]))
+
+    def stream(width):
+        return draw(hnp.arrays(np.float64, lead + (width,), elements=llrs))
+
+    tail = [stream(3), stream(3)] if draw(st.booleans()) else [None, None]
+    return SisoInput(stream(n), stream(n), *tail)
+
+
+@settings(max_examples=100, deadline=None)
+@given(inp=st.one_of(siso_inputs(), HOSTILE), config=st.one_of(DECODER_CONFIGS, HOSTILE))
+@example(inp=None, config=None)
+@example(inp=SisoInput(np.zeros(4), np.zeros(4)), config=None)
+def test_siso_decode(inp, config):
+    result = refused_or_returned(siso_decode, inp, config)
+    if result is not None:
+        assert result.llr_out.shape == inp.lu.shape
+        assert np.isfinite(result.llr_out).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=ARRAYS, y=ARRAYS, mode=st.one_of(st.sampled_from(MaxStarMode), HOSTILE))
+@example(x=10 ** 400, y=1, mode=MaxStarMode.LOG_MAP)
+def test_max_star(x, y, mode):
+    refused_or_returned(max_star, x, y, mode)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=ARRAYS, mode=st.one_of(st.sampled_from(MaxStarMode), HOSTILE),
+       axis=st.one_of(st.integers(-3, 3), HOSTILE))
+@example(values=np.zeros((2, 3)), mode=MaxStarMode.LOG_MAP, axis=5)
+@example(values=[10 ** 400, 1.0], mode=MaxStarMode.LOG_MAP, axis=-1)
+def test_max_star_reduce(values, mode, axis):
+    refused_or_returned(max_star_reduce, values, mode, axis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=st.one_of(DECODER_CONFIGS, HOSTILE),
+       snr_db=st.one_of(st.floats(-5, 20), HOSTILE),
+       num_blocks=st.one_of(st.integers(-3, 2), st.floats(), JUNK),
+       seed=st.one_of(st.integers(0, 2 ** 64 - 1), HOSTILE))
+@example(config=DecoderConfig(iterations=1, qpp=QPP40), snr_db=1.0, num_blocks=0, seed=0)
+def test_ber_vs_iterations(config, snr_db, num_blocks, seed):
+    # with no blocks it returned [nan]
+    ber = refused_or_returned(ber_vs_iterations, snr_db, config, num_blocks, seed)
+    if ber is not None:
+        assert ber.shape == (config.iterations,) and ((0 <= ber) & (ber <= 1)).all()
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,36 @@ def test_index_must_be_an_integer(x):
     assert qpp_index(params_for_block_size(40), np.int64(1)) == 13
 
 
+@pytest.mark.parametrize("n", [40.0, np.float64(40.0)])
+def test_block_size_must_be_an_integer(n):
+    # 40.0 gave QppParams(n=40.0, ...), whose float permutation failed
+    # turbo_encode with numpy's IndexError
+    with pytest.raises(TypeError, match="block size must be an integer"):
+        params_for_block_size(n)
+
+
+@pytest.mark.parametrize("n, f1, f2, error, match", [
+    (40.0, 3, 10, TypeError, "block size must be an integer"),
+    (40, 3.0, 10, TypeError, "f1 must be an integer"),
+    (40, 3, "a", TypeError, "f2 must be an integer"),
+    (6148, 1, 2, ValueError, r"block size must be in \[1, 6144\]"),
+    (4 * 10 ** 9, 1, 2, ValueError, r"block size must be in \[1, 6144\]"),
+    (40, 43, 10, ValueError, r"f1 must be in \[0, 39\]"),
+    (40, 3, 10 ** 400, ValueError, r"f2 must be in \[0, 39\]"),
+], ids=["n-float", "f1-float", "f2-str", "n-6148", "n-4e9", "f1-43", "f2-huge"])
+def test_parameters_are_integers_within_the_block(n, f1, f2, error, match):
+    # 'a' failed only by accident ("not all arguments converted"); an n
+    # beyond 6144 reached the exhaustive bijection check, np.arange(n)
+    with pytest.raises(error, match=match):
+        QppParams(n=n, f1=f1, f2=f2)
+
+
+def test_parameters_are_stored_as_python_ints():
+    p = QppParams(n=np.int64(40), f1=np.int32(3), f2=np.uint16(10))
+    assert (p.n, p.f1, p.f2) == (40, 3, 10)
+    assert all(type(v) is int for v in (p.n, p.f1, p.f2))
+
+
 def test_whole_table_is_valid():
     # bijectivity, f1 odd, f2 even for every entry; QppParams.__post_init__
     # enforces all three, so construction succeeding is the check

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -295,6 +296,14 @@ class TestMonteCarlo:
         table = ber_vs_iterations(12.0, config, num_blocks=20, seed=6)
         assert table.shape == (3,)
         assert (table == 0).all()
+
+    def test_ber_vs_iterations_of_no_blocks_is_zero(self):
+        # it returned [nan] and warned of 0 errors over 0 bits
+        config = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=3, qpp=QPP40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = ber_vs_iterations(1.0, config, num_blocks=0, seed=6)
+        assert table.tolist() == [0.0, 0.0, 0.0]
 
     def test_ber_vs_iterations_deterministic(self):
         config = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=3, qpp=QPP40)
