@@ -15,8 +15,8 @@ from .siso import (OpCounts, SisoInput, SisoResult, StageTimes,
                    compute_branch_metrics, quantize_llrs, siso_decode,
                    track_metric_allocations, track_stage_times)
 from .trellis import CodeWord, TrellisEdge, rsc_encode, turbo_encode
-from .turbo import (DecodeResult, DecoderConfig, McResult, ber_vs_iterations,
-                    run_monte_carlo, simulate_blocks, turbo_decode)
+from .turbo import (DecodeResult, DecoderConfig, McResult, run_monte_carlo,
+                    simulate_blocks, turbo_decode)
 
 __version__ = "0.1.0"
 
@@ -30,6 +30,6 @@ __all__ = [
     "compute_branch_metrics", "quantize_llrs", "siso_decode",
     "track_metric_allocations", "track_stage_times",
     "CodeWord", "TrellisEdge", "rsc_encode", "turbo_encode",
-    "DecodeResult", "DecoderConfig", "McResult", "ber_vs_iterations",
-    "run_monte_carlo", "simulate_blocks", "turbo_decode",
+    "DecodeResult", "DecoderConfig", "McResult", "run_monte_carlo",
+    "simulate_blocks", "turbo_decode",
 ]

@@ -2,13 +2,15 @@
 
 Every public entry point checks each argument it takes from outside
 with one call here.  A check raises TypeError for the wrong kind of
-value (a float where an integer belongs, an object that is not the
-record asked for) and ValueError for a wrong value of the right kind
-(out of range, beyond float64, NaN, a bit other than 0 or 1), and
-nothing else: numpy's OverflowError becomes ValueError.
+value (a float where an integer belongs, None or text where numbers
+belong, an object that is not the record asked for) and ValueError for
+a wrong value of the right kind (out of range, beyond float64, NaN, a
+bit other than 0 or 1), and nothing else: numpy's OverflowError
+becomes ValueError.
 """
 
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -44,9 +46,18 @@ def instance(name: str, value, kind, what: str | None = None):
 
 
 def float_array(x) -> np.ndarray:
-    """x as a float64 array."""
+    """x, real numbers, as a float64 array.
+
+    NaN passes: bounded refuses it where LLRs enter the decoder, so
+    quantize_llrs, which runs every half-iteration, scans for none.
+    """
+    a = np.asarray(x)
+    # dtype object: ints beyond 64 bits, or values that are no numbers (None)
+    if a.dtype.kind not in "biuf" and not (
+            a.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in a.flat)):
+        raise TypeError(f"values must be real numbers, got dtype {a.dtype}")
     try:
-        return np.asarray(x, dtype=np.float64)
+        return a.astype(np.float64, copy=False)
     except OverflowError as exc:   # an integer beyond float64
         raise ValueError(f"value out of float64 range: {exc}") from None
 

@@ -84,8 +84,8 @@ def rekey_block_rng(rng: np.random.Generator, seed: int, block_index: int) -> No
 
 
 def bpsk_modulate(bits) -> np.ndarray:
-    """Map bits to unit-energy antipodal symbols, 0 -> +1, 1 -> -1."""
-    return 1.0 - 2.0 * _checks.float_array(bits)
+    """Map 0/1 bits to unit-energy antipodal symbols, 0 -> +1, 1 -> -1."""
+    return 1.0 - 2.0 * _checks.bits(bits)
 
 
 def llr_demap(received, noise_variance: float) -> np.ndarray:

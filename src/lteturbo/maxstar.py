@@ -85,6 +85,8 @@ def max_star(x, y, mode: MaxStarMode = MaxStarMode.LOG_MAP):
 
     Writes neither input; see the module docstring for the temporaries.
     """
+    if mode.__class__ is not MaxStarMode:   # an identity test: no call for a valid mode
+        _checks.instance("mode", mode, MaxStarMode)
     try:   # _checks only where numpy fails: no Python call per stage step
         x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     except OverflowError:
@@ -106,12 +108,10 @@ def max_star(x, y, mode: MaxStarMode = MaxStarMode.LOG_MAP):
             # 1.0 * c or 0.0 * c: c where |x-y| <= T, else 0.0
             np.less_equal(t, CONSTANT_T, out=t)
             np.multiply(t, CONSTANT_C, out=t)
-        elif mode is MaxStarMode.LINEAR_LOG:
+        else:   # LINEAR_LOG
             np.subtract(t, LINEAR_T, out=t)
             np.multiply(LINEAR_A, t, out=t)
             np.maximum(0.0, t, out=t)
-        else:
-            raise ValueError(f"mode must be a MaxStarMode, got {mode!r}")
     return np.add(m, t, out=m)
 
 
@@ -131,6 +131,8 @@ def max_star_reduce(values, mode: MaxStarMode = MaxStarMode.LOG_MAP, axis: int =
     inside a batch.  The approximate modes are not associative, hence
     the explicit left-to-right fold of max_star.
     """
+    if mode.__class__ is not MaxStarMode:   # as in max_star
+        _checks.instance("mode", mode, MaxStarMode)
     try:   # _checks only where numpy fails, as in max_star
         values = np.asarray(values, dtype=np.float64)
         empty = values.shape == () or values.shape[axis] == 0

@@ -60,9 +60,10 @@ def turbo_decode(ch: CodeWord, config: DecoderConfig,
                  trace_iterations: bool = False) -> DecodeResult:
     """Run config.iterations full iterations on the channel LLRs ch.
 
-    With trace_iterations=True the result carries the combined LLR
-    vector after every full iteration (per_iteration_llrs[i] for
-    iteration i+1).
+    With trace_iterations=True, per_iteration_llrs[i] is the combined
+    LLR vector after iteration i+1, byte for byte the final_llrs of an
+    (i+1)-iteration decode.  Only perfbench's count pass reads it, and
+    it calls turbo_decode(ch, config, True) with the flag positional.
     """
     _checks.instance("ch", ch, CodeWord)
     qpp = _checks.instance("config", config, DecoderConfig).qpp
@@ -160,7 +161,6 @@ class McResult:
     info_bits: int = 0
     bit_errors: int = 0
     block_errors: int = 0
-    per_iteration_bit_errors: np.ndarray | None = None
     ops: OpCounts = field(default_factory=OpCounts)
     decode_s: float = 0.0     # wall time inside turbo_decode; not part of any CSV
 
@@ -180,7 +180,7 @@ def _default_batch_size(n: int) -> int:
 
 
 def run_monte_carlo(config: DecoderConfig, snr_db: float, num_blocks: int,
-                    seed: int, *, per_iteration: bool = False) -> McResult:
+                    seed: int) -> McResult:
     """Simulate and decode num_blocks random blocks at one Eb/N0 point.
 
     Blocks are simulated by simulate_blocks and decoded in batches whose
@@ -200,15 +200,12 @@ def run_monte_carlo(config: DecoderConfig, snr_db: float, num_blocks: int,
     sigma2 = ChannelConfig.for_block_size(n, snr_db).noise_variance
     batch = _default_batch_size(n)
     total = McResult()
-    if per_iteration:
-        total.per_iteration_bit_errors = np.zeros(config.iterations, dtype=np.int64)
-
     for lo in range(0, num_blocks, batch):
         hi = min(lo + batch, num_blocks)
         b = hi - lo
         bits, ch = simulate_blocks(qpp, sigma2, seed, lo, hi)
         start = time.perf_counter()
-        result = turbo_decode(ch, config, trace_iterations=per_iteration)
+        result = turbo_decode(ch, config)
         total.decode_s += time.perf_counter() - start
         errors = result.hard_bits != bits
         total.blocks += b
@@ -216,19 +213,4 @@ def run_monte_carlo(config: DecoderConfig, snr_db: float, num_blocks: int,
         total.bit_errors += int(errors.sum())
         total.block_errors += int(errors.any(axis=-1).sum())
         total.ops += result.ops
-        if per_iteration:
-            for i, llrs in enumerate(result.per_iteration_llrs):
-                total.per_iteration_bit_errors[i] += int(
-                    ((llrs < 0).astype(np.uint8) != bits).sum())
     return total
-
-
-def ber_vs_iterations(snr_db: float, config: DecoderConfig, num_blocks: int,
-                      seed: int) -> np.ndarray:
-    """BER after each full iteration 1..config.iterations.
-
-    Deterministic for a fixed seed; returns an array of length
-    config.iterations, zeros for no blocks (as McResult.ber reads 0.0).
-    """
-    mc = run_monte_carlo(config, snr_db, num_blocks, seed, per_iteration=True)
-    return mc.per_iteration_bit_errors / max(mc.info_bits, 1)

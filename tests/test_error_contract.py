@@ -11,6 +11,7 @@ its documented exit codes in the same way.
 """
 
 import io
+import numbers
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -29,8 +30,7 @@ from lteturbo.qpp import (QppParams, block_sizes, inverse_permutation, params_fo
                           permutation, qpp_index)
 from lteturbo.siso import SisoInput, compute_branch_metrics, quantize_llrs, siso_decode
 from lteturbo.trellis import CodeWord, rsc_encode, turbo_encode
-from lteturbo.turbo import (DecoderConfig, ber_vs_iterations, run_monte_carlo, simulate_blocks,
-                            turbo_decode)
+from lteturbo.turbo import DecoderConfig, run_monte_carlo, simulate_blocks, turbo_decode
 
 QPP40 = params_for_block_size(40)
 
@@ -42,6 +42,20 @@ JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=4), st.binary(max_si
 HOSTILE = st.one_of(NUMBERS, JUNK)
 ARRAYS = st.one_of(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_side=5)),
                    HOSTILE)
+
+
+def refused_with(call, *args):
+    """The ValueError or TypeError call(*args) raises, or None if it returns."""
+    try:
+        call(*args)
+    except (ValueError, TypeError) as exc:
+        return exc
+
+
+def real_numbers(x):
+    """Whether every value of x is a real number; None, text, bytes and
+    complex numbers are not, an integer beyond float64 is."""
+    return all(isinstance(v, numbers.Real) for v in np.asarray(x, dtype=object).flat)
 
 
 def refused_or_returned(call, *args, **kwargs):
@@ -99,8 +113,16 @@ def test_siso_input(streams):
 @given(llrs=ARRAYS, bits=st.one_of(st.integers(-1, 17), HOSTILE),
        frac_bits=st.one_of(st.integers(-1, 17), HOSTILE))
 @example(llrs=10 ** 400, bits=6, frac_bits=2)
+@example(llrs=[10 ** 400, 1.0], bits=6, frac_bits=2)
+@example(llrs=None, bits=6, frac_bits=2)
+@example(llrs=[None, 1.0], bits=6, frac_bits=2)
+@example(llrs="1.5", bits=6, frac_bits=2)
+@example(llrs=["1", 2], bits=6, frac_bits=2)
+@example(llrs=[1j], bits=6, frac_bits=2)
 def test_quantize_llrs(llrs, bits, frac_bits):
     refused_or_returned(quantize_llrs, llrs, bits, frac_bits)
+    # values that are no real numbers are the wrong kind; None was NaN, "1.5" was 1.5
+    assert isinstance(refused_with(quantize_llrs, llrs, 6, 2), TypeError) != real_numbers(llrs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -117,8 +139,16 @@ def test_channel_config(ebn0_db, code_rate, n):
 @settings(max_examples=100, deadline=None)
 @given(received=ARRAYS, noise_variance=st.one_of(st.floats(1e-3, 10), HOSTILE))
 @example(received=[1.0], noise_variance=10 ** 400)
+@example(received=10 ** 400, noise_variance=1.0)
+@example(received=[10 ** 400, 1.0], noise_variance=1.0)
+@example(received=None, noise_variance=1.0)
+@example(received=[None, 1.0], noise_variance=1.0)
+@example(received="1.5", noise_variance=1.0)
+@example(received=["1", 2], noise_variance=1.0)
+@example(received=1j, noise_variance=1.0)
 def test_llr_demap(received, noise_variance):
     refused_or_returned(llr_demap, received, noise_variance)
+    assert isinstance(refused_with(llr_demap, received, 1.0), TypeError) != real_numbers(received)
 
 
 BIT_DTYPES = st.sampled_from([np.uint8, np.int64, np.float64])
@@ -217,12 +247,13 @@ DECODER_CONFIGS = st.builds(
 @given(config=st.one_of(DECODER_CONFIGS, HOSTILE),
        snr_db=st.one_of(st.floats(-5, 20), HOSTILE),
        num_blocks=st.one_of(st.integers(-3, 2), st.floats(), JUNK),
-       seed=st.one_of(st.integers(0, 2 ** 64 - 1), HOSTILE),
-       per_iteration=st.booleans())
-@example(config=None, snr_db=1.0, num_blocks=2, seed=0, per_iteration=False)
-def test_run_monte_carlo(config, snr_db, num_blocks, seed, per_iteration):
-    refused_or_returned(run_monte_carlo, config, snr_db, num_blocks, seed,
-                        per_iteration=per_iteration)
+       seed=st.one_of(st.integers(0, 2 ** 64 - 1), HOSTILE))
+@example(config=None, snr_db=1.0, num_blocks=2, seed=0)
+@example(config=DecoderConfig(iterations=1, qpp=QPP40), snr_db=1.0, num_blocks=0, seed=0)
+def test_run_monte_carlo(config, snr_db, num_blocks, seed):
+    mc = refused_or_returned(run_monte_carlo, config, snr_db, num_blocks, seed)
+    if mc is not None:   # no blocks read 0, not NaN
+        assert 0 <= mc.ber <= 1 and 0 <= mc.fer <= 1
 
 
 @st.composite
@@ -290,8 +321,14 @@ def test_block_rng(seed, block_index):
 @settings(max_examples=100, deadline=None)
 @given(bits=bit_arrays(hnp.array_shapes(min_dims=0, max_dims=2, max_side=5)))
 @example(bits=[10 ** 400])
+@example(bits=[2, 0.5])
+@example(bits=None)
+@example(bits="1")
 def test_bpsk_modulate(bits):
-    refused_or_returned(bpsk_modulate, bits)
+    # returned only for 0/1 bits; [2, 0.5] gave [-3, 0]
+    symbols = refused_or_returned(bpsk_modulate, bits)
+    if symbols is not None:
+        assert only_bits(bits) and set(np.unique(symbols)) <= {-1.0, 1.0}
 
 
 @settings(max_examples=100, deadline=None)
@@ -344,8 +381,11 @@ def test_siso_decode(inp, config):
 @settings(max_examples=150, deadline=None)
 @given(x=ARRAYS, y=ARRAYS, mode=st.one_of(st.sampled_from(MaxStarMode), HOSTILE))
 @example(x=10 ** 400, y=1, mode=MaxStarMode.LOG_MAP)
+@example(x=1.0, y=2.0, mode="log-map")
 def test_max_star(x, y, mode):
-    refused_or_returned(max_star, x, y, mode)
+    # a mode that is no MaxStarMode is the wrong kind, whatever x and y
+    refusal = refused_with(max_star, x, y, mode)
+    assert isinstance(mode, MaxStarMode) or isinstance(refusal, TypeError)
 
 
 @settings(max_examples=150, deadline=None)
@@ -353,21 +393,11 @@ def test_max_star(x, y, mode):
        axis=st.one_of(st.integers(-3, 3), HOSTILE))
 @example(values=np.zeros((2, 3)), mode=MaxStarMode.LOG_MAP, axis=5)
 @example(values=[10 ** 400, 1.0], mode=MaxStarMode.LOG_MAP, axis=-1)
+@example(values=[1.0], mode="junk", axis=-1)
 def test_max_star_reduce(values, mode, axis):
-    refused_or_returned(max_star_reduce, values, mode, axis)
-
-
-@settings(max_examples=60, deadline=None)
-@given(config=st.one_of(DECODER_CONFIGS, HOSTILE),
-       snr_db=st.one_of(st.floats(-5, 20), HOSTILE),
-       num_blocks=st.one_of(st.integers(-3, 2), st.floats(), JUNK),
-       seed=st.one_of(st.integers(0, 2 ** 64 - 1), HOSTILE))
-@example(config=DecoderConfig(iterations=1, qpp=QPP40), snr_db=1.0, num_blocks=0, seed=0)
-def test_ber_vs_iterations(config, snr_db, num_blocks, seed):
-    # with no blocks it returned [nan]
-    ber = refused_or_returned(ber_vs_iterations, snr_db, config, num_blocks, seed)
-    if ber is not None:
-        assert ber.shape == (config.iterations,) and ((0 <= ber) & (ber <= 1)).all()
+    # as for max_star; a one-value fold returned without reading the mode
+    refusal = refused_with(max_star_reduce, values, mode, axis)
+    assert isinstance(mode, MaxStarMode) or isinstance(refusal, TypeError)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ class TestPointValues:
                              ids=["scalars", "arrays"])
     def test_rejects_a_mode_that_is_no_max_star_mode(self, mode, x, y):
         # the bare else ran the linear correction: "log-map" gave 2.375
-        with pytest.raises(ValueError, match="mode must be a MaxStarMode"):
+        with pytest.raises(TypeError, match="mode must be a MaxStarMode"):
             max_star(x, y, mode)
 
 

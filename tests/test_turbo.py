@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +11,7 @@ from lteturbo.maxstar import MaxStarMode
 from lteturbo.qpp import inverse_permutation, params_for_block_size, permutation
 from lteturbo.siso import SisoInput, siso_decode
 from lteturbo.trellis import CodeWord, turbo_encode
-from lteturbo.turbo import (DecoderConfig, ber_vs_iterations, run_monte_carlo,
-                            simulate_blocks, turbo_decode)
+from lteturbo.turbo import DecoderConfig, run_monte_carlo, simulate_blocks, turbo_decode
 
 QPP40 = params_for_block_size(40)
 
@@ -172,12 +170,24 @@ class TestTurboDecode:
             assert value == 6 * getattr(one, name)
         assert res.ops.llr_reduces == 4 * 40 * 3
 
-    def test_iteration_trace(self):
-        bits, ch = noisy_llrs(QPP40, snr_db=1.0, seed=33)
-        config = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=3, qpp=QPP40)
-        res = turbo_decode(ch, config, trace_iterations=True)
-        assert len(res.per_iteration_llrs) == 3
+    @pytest.mark.parametrize("mode, window_len, quantization", [
+        (MaxStarMode.MAX_LOG, None, None),
+        (MaxStarMode.LOG_MAP, None, None),
+        (MaxStarMode.LINEAR_LOG, 16, None),
+        (MaxStarMode.CONSTANT_LOG, None, (6, 2))])
+    def test_iteration_trace(self, mode, window_len, quantization):
+        # iteration i of the trace is an i-iteration decode, byte for byte,
+        # so a BER per iteration needs only fixed-schedule runs
+        sigma2 = ChannelConfig.for_block_size(40, 1.0).noise_variance
+        _, ch = simulate_blocks(QPP40, sigma2, 33, 0, 3)
+        config = DecoderConfig(mode=mode, iterations=4, qpp=QPP40, window_len=window_len,
+                               acquisition_len=8, quantization=quantization)
+        res = turbo_decode(ch, config, True)   # positional, as perfbench's count pass calls it
+        assert len(res.per_iteration_llrs) == 4
         np.testing.assert_array_equal(res.per_iteration_llrs[-1], res.final_llrs)
+        for i, llrs in enumerate(res.per_iteration_llrs, start=1):
+            alone = turbo_decode(ch, dataclasses.replace(config, iterations=i))
+            assert llrs.tobytes() == alone.final_llrs.tobytes()
 
     def test_batch_matches_single(self):
         # no option couples the blocks of a batch: each decodes exactly
@@ -290,29 +300,3 @@ class TestMonteCarlo:
     def test_decode_time_is_measured(self):
         config = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=2, qpp=QPP40)
         assert run_monte_carlo(config, 1.0, 3, seed=5).decode_s > 0
-
-    def test_ber_vs_iterations_high_snr_is_zero(self):
-        config = DecoderConfig(mode=MaxStarMode.LOG_MAP, iterations=3, qpp=QPP40)
-        table = ber_vs_iterations(12.0, config, num_blocks=20, seed=6)
-        assert table.shape == (3,)
-        assert (table == 0).all()
-
-    def test_ber_vs_iterations_of_no_blocks_is_zero(self):
-        # it returned [nan] and warned of 0 errors over 0 bits
-        config = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=3, qpp=QPP40)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            table = ber_vs_iterations(1.0, config, num_blocks=0, seed=6)
-        assert table.tolist() == [0.0, 0.0, 0.0]
-
-    def test_ber_vs_iterations_deterministic(self):
-        config = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=3, qpp=QPP40)
-        a = ber_vs_iterations(0.5, config, num_blocks=25, seed=7)
-        b = ber_vs_iterations(0.5, config, num_blocks=25, seed=7)
-        assert np.array_equal(a, b)
-
-    def test_per_iteration_errors_match_final(self):
-        config = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=4, qpp=QPP40)
-        mc = run_monte_carlo(config, 0.5, 40, seed=8, per_iteration=True)
-        assert mc.per_iteration_bit_errors[-1] == mc.bit_errors
-        assert mc.info_bits == 40 * 40
