@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -300,3 +301,29 @@ class TestMonteCarlo:
     def test_decode_time_is_measured(self):
         config = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=2, qpp=QPP40)
         assert run_monte_carlo(config, 1.0, 3, seed=5).decode_s > 0
+
+    def test_high_snr_is_zero(self):
+        config = DecoderConfig(mode=MaxStarMode.LOG_MAP, iterations=3, qpp=QPP40)
+        mc = run_monte_carlo(config, 12.0, 20, seed=6)
+        assert (mc.blocks, mc.info_bits) == (20, 20 * 40)
+        assert (mc.bit_errors, mc.block_errors, mc.ber, mc.fer) == (0, 0, 0.0, 0.0)
+
+    def test_no_blocks_is_zero(self):
+        # a rate over 0 bits reads 0, with no NaN and no warning
+        config = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=3, qpp=QPP40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mc = run_monte_carlo(config, 1.0, 0, seed=6)
+        assert (mc.blocks, mc.info_bits, mc.ber, mc.fer) == (0, 0, 0.0, 0.0)
+
+    def test_fixed_schedule_errors_match_trace(self):
+        # the BER after i iterations is that of an i-iteration run
+        config = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=4, qpp=QPP40)
+        sigma2 = ChannelConfig.for_block_size(40, 0.5).noise_variance
+        bits, ch = simulate_blocks(QPP40, sigma2, 8, 0, 40)
+        trace = turbo_decode(ch, config, trace_iterations=True).per_iteration_llrs
+        for i, llrs in enumerate(trace, start=1):
+            mc = run_monte_carlo(dataclasses.replace(config, iterations=i), 0.5, 40, seed=8)
+            errors = (llrs < 0).astype(bits.dtype) != bits
+            assert mc.bit_errors == errors.sum()
+            assert mc.block_errors == errors.any(axis=-1).sum()
