@@ -62,6 +62,7 @@ METRIC_NEG_INF = -1.0e300
 # The fixed correction constants (see the module docstring).
 CONSTANT_C, CONSTANT_T = 0.5, 1.5
 LINEAR_A, LINEAR_T = -0.24904, 2.5068
+_F64 = np.dtype(np.float64)
 
 
 class MaxStarMode(enum.Enum):
@@ -81,16 +82,15 @@ class MaxStarMode(enum.Enum):
 
 
 def max_star(x, y, mode: MaxStarMode = MaxStarMode.LOG_MAP):
-    """Elementwise max* of two metrics (scalars or broadcastable arrays).
-
-    Writes neither input; see the module docstring for the temporaries.
-    """
+    """Elementwise max* of two finite metrics, real scalars or broadcastable
+    arrays read by _checks.float_array; an infinite one gives NaN.  Writes
+    neither input (see the module docstring)."""
     if mode.__class__ is not MaxStarMode:   # an identity test: no call for a valid mode
         _checks.instance("mode", mode, MaxStarMode)
-    try:   # _checks only where numpy fails: no Python call per stage step
-        x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
-    except OverflowError:
-        x, y = _checks.float_array(x), _checks.float_array(y)   # raises ValueError
+    if x.__class__ is not np.ndarray or x.dtype is not _F64:   # float_array returns it as is
+        x = _checks.float_array(x)
+    if y.__class__ is not np.ndarray or y.dtype is not _F64:
+        y = _checks.float_array(y)
     m = np.maximum(x, y)
     if mode is MaxStarMode.MAX_LOG:
         return m
@@ -115,8 +115,8 @@ def max_star(x, y, mode: MaxStarMode = MaxStarMode.LOG_MAP):
     return np.add(m, t, out=m)
 
 
-def max_star_reduce(values, mode: MaxStarMode = MaxStarMode.LOG_MAP, axis: int = -1):
-    """max* of all values along an axis.
+def max_star_reduce(values, mode: MaxStarMode = MaxStarMode.LOG_MAP):
+    """max* of finite metrics (read as by max_star) along axis 0, which must not be empty.
 
     For MAX_LOG the fold equals the plain maximum for any fold order, so
     it is computed with np.maximum.reduce directly, the ufunc reduce that
@@ -133,22 +133,15 @@ def max_star_reduce(values, mode: MaxStarMode = MaxStarMode.LOG_MAP, axis: int =
     """
     if mode.__class__ is not MaxStarMode:   # as in max_star
         _checks.instance("mode", mode, MaxStarMode)
-    try:   # _checks only where numpy fails, as in max_star
-        values = np.asarray(values, dtype=np.float64)
-        empty = values.shape == () or values.shape[axis] == 0
-    except (OverflowError, IndexError):   # a value beyond float64 or an axis out of range
+    if values.__class__ is not np.ndarray or values.dtype is not _F64:   # as x in max_star
         values = _checks.float_array(values)
-        _checks.integer("axis", axis, -values.ndim, values.ndim - 1)
-    if empty:
+    if values.ndim == 0 or len(values) == 0:
         raise ValueError("max_star_reduce needs a non-empty axis to reduce")
     if mode is MaxStarMode.MAX_LOG:
-        return np.maximum.reduce(values, axis=axis)
-    if axis != 0:
-        values = np.rollaxis(values, axis)   # moveaxis's checks cost 4 us a call
+        return np.maximum.reduce(values)   # a ufunc reduce folds axis 0
     if mode is MaxStarMode.LOG_MAP:
-        m = np.maximum.reduce(values, axis=0)
-        # one scratch array; its slabs terms[i] are contiguous and
-        # disjoint, so the in-place adds need no overlap copy
+        m = np.maximum.reduce(values)
+        # one scratch array of contiguous, disjoint slabs: the in-place adds copy no overlap
         terms = np.subtract(values, m, order="C")
         np.exp(terms, out=terms)
         k = len(terms)

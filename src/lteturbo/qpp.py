@@ -97,8 +97,7 @@ class QppParams:
             raise ValueError(f"f2 must be even, got {f2}")
         for name, value in (("n", n), ("f1", f1), ("f2", f2)):
             object.__setattr__(self, name, value)
-        x = np.arange(n, dtype=np.int64)
-        if not np.array_equal(np.sort((f2 * x * x + f1 * x) % n), x):
+        if not np.array_equal(np.sort(permutation(self)), np.arange(n)):
             raise ValueError(f"f(x) is not a bijection for (n={n}, f1={f1}, f2={f2})")
 
 

@@ -462,8 +462,7 @@ def siso_decode(inp: SisoInput, config) -> SisoResult:
             np.subtract(a, g, out=vals[1])
             vals += cand
             vals = vals.reshape(16, live).take(_LLR_EDGES, axis=0)
-            llr[j, :live] = (max_star_reduce(vals[:8], mode, axis=0)
-                             - max_star_reduce(vals[8:], mode, axis=0))
+            llr[j, :live] = max_star_reduce(vals[:8], mode) - max_star_reduce(vals[8:], mode)
         out = _butterfly(cand, g, mode)
         if live == rows:
             return out
@@ -524,4 +523,6 @@ def quantize_llrs(llrs, bits: int, frac_bits: int) -> np.ndarray:
     step = 2.0 ** -frac_bits
     lo = -(2 ** (bits - 1)) * step
     hi = (2 ** (bits - 1) - 1) * step
-    return np.clip(np.round(_checks.float_array(llrs) / step) * step, lo, hi)
+    # clipped first, so no finite LLR overflows in the divide: lo and hi
+    # are whole steps and step is a power of two, so the bits are the same
+    return np.round(np.clip(_checks.float_array(llrs), lo, hi) / step) * step

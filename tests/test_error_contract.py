@@ -382,22 +382,33 @@ def test_siso_decode(inp, config):
 @given(x=ARRAYS, y=ARRAYS, mode=st.one_of(st.sampled_from(MaxStarMode), HOSTILE))
 @example(x=10 ** 400, y=1, mode=MaxStarMode.LOG_MAP)
 @example(x=1.0, y=2.0, mode="log-map")
+@example(x=None, y=1.0, mode=MaxStarMode.MAX_LOG)
+@example(x=1.0, y=[None, 1.0], mode=MaxStarMode.MAX_LOG)
+@example(x="1.5", y=1.0, mode=MaxStarMode.LOG_MAP)
+@example(x=["1", 2], y=1.0, mode=MaxStarMode.MAX_LOG)
+@example(x=1.0, y=np.array([1j]), mode=MaxStarMode.MAX_LOG)
 def test_max_star(x, y, mode):
-    # a mode that is no MaxStarMode is the wrong kind, whatever x and y
+    # a mode that is no MaxStarMode is the wrong kind, whatever x and y,
+    # and so is a value that is no real number: None was NaN, "1.5" was 1.5
     refusal = refused_with(max_star, x, y, mode)
-    assert isinstance(mode, MaxStarMode) or isinstance(refusal, TypeError)
+    valid = isinstance(mode, MaxStarMode) and real_numbers(x) and real_numbers(y)
+    assert isinstance(refusal, TypeError) != valid
 
 
 @settings(max_examples=150, deadline=None)
-@given(values=ARRAYS, mode=st.one_of(st.sampled_from(MaxStarMode), HOSTILE),
-       axis=st.one_of(st.integers(-3, 3), HOSTILE))
-@example(values=np.zeros((2, 3)), mode=MaxStarMode.LOG_MAP, axis=5)
-@example(values=[10 ** 400, 1.0], mode=MaxStarMode.LOG_MAP, axis=-1)
-@example(values=[1.0], mode="junk", axis=-1)
-def test_max_star_reduce(values, mode, axis):
-    # as for max_star; a one-value fold returned without reading the mode
-    refusal = refused_with(max_star_reduce, values, mode, axis)
-    assert isinstance(mode, MaxStarMode) or isinstance(refusal, TypeError)
+@given(values=ARRAYS, mode=st.one_of(st.sampled_from(MaxStarMode), HOSTILE))
+@example(values=[10 ** 400, 1.0], mode=MaxStarMode.LOG_MAP)
+@example(values=[1.0], mode="junk")
+@example(values=None, mode=MaxStarMode.MAX_LOG)
+@example(values=[None, 1.0], mode=MaxStarMode.MAX_LOG)
+@example(values="1.5", mode=MaxStarMode.LOG_MAP)
+@example(values=["1", 2], mode=MaxStarMode.MAX_LOG)
+@example(values=np.array([1j, 2]), mode=MaxStarMode.MAX_LOG)
+def test_max_star_reduce(values, mode):
+    # as for max_star; ["1", 2] was 2.0
+    refusal = refused_with(max_star_reduce, values, mode)
+    valid = isinstance(mode, MaxStarMode) and real_numbers(values)
+    assert isinstance(refusal, TypeError) != valid
 
 
 # ---------------------------------------------------------------------------

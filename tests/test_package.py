@@ -12,7 +12,8 @@ def test_every_public_name_resolves():
 
 
 def _type_rules(path):
-    """Each `raise TypeError` and each use of operator.index in a module."""
+    """Each `raise TypeError`, each use of operator.index and each np.asarray
+    in a module."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
@@ -20,9 +21,9 @@ def _type_rules(path):
             exc = exc.func
         if isinstance(exc, ast.Name) and exc.id == "TypeError":
             found.append(f"{path.name}:{node.lineno} raise TypeError")
-        if (isinstance(node, ast.Attribute) and node.attr == "index"
-                and isinstance(node.value, ast.Name) and node.value.id == "operator"):
-            found.append(f"{path.name}:{node.lineno} operator.index")
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and (node.value.id, node.attr) in (("operator", "index"), ("np", "asarray"))):
+            found.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
         if isinstance(node, ast.ImportFrom) and node.module == "operator":
             found.append(f"{path.name}:{node.lineno} from operator import")
     return found
@@ -30,8 +31,8 @@ def _type_rules(path):
 
 def test_input_rules_live_in_checks():
     # the error contract has one boundary, lteturbo/_checks.py: a module
-    # that refuses a value's kind or converts an integer itself states a
-    # rule a second time
+    # that refuses a value's kind or converts an integer or an array itself
+    # states a rule a second time
     src = Path(lteturbo.__file__).parent
     elsewhere = [f for path in sorted(src.glob("*.py")) if path.name != "_checks.py"
                  for f in _type_rules(path)]

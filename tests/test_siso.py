@@ -593,6 +593,9 @@ class TestQuantize:
     def test_saturation(self):
         assert quantize_llrs(100.0, 6, 2) == 7.75
         assert quantize_llrs(-100.0, 6, 2) == -8.0
+        with np.errstate(all="raise"):   # 1e308 / step overflowed before the clip
+            assert quantize_llrs(1e308, 6, 2) == 7.75
+            assert quantize_llrs(-1e308, 6, 2) == -8.0
 
     def test_vector(self):
         out = quantize_llrs(np.array([0.1, -0.1, 3.9]), 6, 2)
