@@ -165,6 +165,12 @@ class TestBer:
         _, header, rows = read_rows(out_b)
         assert dict(zip(header, rows[0]))["blocks"] == "3"
 
+    def test_threads_env_fallback(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TURBOSIM_THREADS", "2")
+        out = tmp_path / "env.csv"
+        assert main(["ber", "--n", "40", "--snr-db", "1", "--blocks", "2",
+                     "--seed", "1", "--out", str(out)]) == 0
+
     @pytest.mark.parametrize("extra, sha256", [
         ([], "fde9b7c58109e798ed13024189f83a138c52381f3ff28b64be512ef51bc4c59c"),
         (["--window-len", "16", "--acq-len", "8", "--quant", "6:2"],
