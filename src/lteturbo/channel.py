@@ -89,9 +89,20 @@ def bpsk_modulate(bits) -> np.ndarray:
 
 
 def llr_demap(received, noise_variance: float) -> np.ndarray:
-    """Channel LLRs of BPSK over AWGN: L = 2r / sigma^2."""
+    """Channel LLRs of BPSK over AWGN: L = 2r / sigma^2.
+
+    A finite received value for which 2r or L overflows float64 raises
+    ValueError; +-inf and NaN received values give +-inf and NaN.
+    """
     received = _checks.float_array(received)
-    return 2.0 * received / _checks.positive("noise variance", noise_variance)
+    noise_variance = _checks.positive("noise variance", noise_variance)
+    with np.errstate(over="ignore"):
+        llrs = 2.0 * received / noise_variance
+    overflow = np.isinf(llrs)
+    if overflow.any() and np.isfinite(received[overflow]).any():
+        raise ValueError(f"a finite received value's LLR 2r / {noise_variance:g} "
+                         "overflows float64")
+    return llrs
 
 
 def serialize_codeword(cw: CodeWord) -> np.ndarray:

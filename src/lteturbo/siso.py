@@ -27,9 +27,12 @@ cost-saving conventions throughout:
   Backward metrics live in one 8-slot register per lane (window): the
   backward recursion and the LLR output are fused into one loop, so
   each backward column is consumed the moment it is produced.  The
-  lanes are rows of one array.  Block-sized arrays are freed once dead:
-  the table and the store go before the LLRs are copied out, so a call
-  peaks at the store, the table and one LLR array.
+  lanes are rows of one array.  No block-sized array outlives its last
+  read: the halved inputs live in the store's buffer until the forward
+  pass overwrites them, each stage's LLRs go into its slab of the
+  branch-metric table once the backward step has read that slab, and
+  the store goes before the LLRs are copied out, the table right after.
+  A call peaks at the store and the table.
 
   Every per-stage array -- branch metrics, forward metrics and
   LLR output -- is stage-major: stage k = w*L + j (lane w, window
@@ -268,10 +271,12 @@ class DecoderConfig:
 
     qpp may be omitted for component-level (single SISO) use; the turbo
     entry points require it.  quantization, when set to (bits, frac_bits),
-    applies saturating fixed-point rounding to the channel LLRs on entry
-    and to each extrinsic stream as it is exchanged, approximating a
-    fixed-point decoder's LLR memories.  window_len=None decodes each
-    block as a single window, which is the exact-reference schedule.
+    applies saturating fixed-point rounding (quantize_llrs), approximating
+    a fixed-point decoder's LLR memories: to the systematic and tail LLRs
+    once on entry, to each parity stream at each call of its decoder,
+    and to each extrinsic stream as it is exchanged.  window_len=None
+    decodes each block as a single window, which is the exact-reference
+    schedule.
     """
     mode: MaxStarMode = MaxStarMode.MAX_LOG
     iterations: int = 8
@@ -364,13 +369,6 @@ def _tail_boundary(inp: SisoInput, mode):
     return beta
 
 
-def _pad_stages(x, span: int):
-    """x (..., n) with zero stages appended up to span; x itself if none."""
-    pad = span - x.shape[-1]
-    return x if pad == 0 else np.concatenate(
-        [x, np.zeros(x.shape[:-1] + (pad,))], axis=-1)
-
-
 def siso_decode(inp: SisoInput, config) -> SisoResult:
     """Decode one constituent code block (or a batch of them).
 
@@ -411,24 +409,24 @@ def siso_decode(inp: SisoInput, config) -> SisoResult:
     lane_acq = [min(acq, max(0, n - (w + 1) * L)) for w in range(lanes)]
     A = max(lane_acq, default=0)
 
-    def stage_major(x):
-        """x batch + (n,) as a (L, lanes, blocks) view, zero-padded."""
-        return _pad_stages(x.reshape(blocks, n), span).reshape(
-            blocks, lanes, L).transpose(2, 1, 0)
-
-    # half-scale metrics (see module docstring); halving the inputs is
-    # exact and peaks lower in memory than halving the table.  The
-    # halved inputs stay expression temporaries, freed before the loops.
-    gam = compute_branch_metrics(stage_major(0.5 * inp.lu),
-                                 stage_major(0.5 * inp.lc2), axis=1)  # (L, 2, lanes, blocks)
-
-    # Forward recursion.  Windows hand alpha across their shared
-    # boundaries, so this is one continuous pass whatever the schedule.
-    t_forward = perf_counter()
+    # The forward store comes first, and its buffer holds the half-scale
+    # inputs (see module docstring) stage-major and zero-padded to span
+    # until the forward pass overwrites it.  Halving the inputs is exact.
     store = np.empty((span, 7) + batch)
     if _records["allocations"] is not None:
         _records["allocations"].append(store)
     stored = store.reshape(L, lanes, 7, blocks)
+    halves = store.reshape(-1)[:2 * blocks * span].reshape(2, blocks, span)
+    halves[:, :, n:] = 0.0
+    np.multiply(inp.lu.reshape(blocks, n), 0.5, out=halves[0, :, :n])
+    np.multiply(inp.lc2.reshape(blocks, n), 0.5, out=halves[1, :, :n])
+    halves = halves.reshape(2, blocks, lanes, L).transpose(0, 3, 2, 1)   # 2 x (L, lanes, blocks)
+    gam = compute_branch_metrics(halves[0], halves[1], axis=1)  # (L, 2, lanes, blocks)
+    del halves   # a view: it would keep the store's buffer past `del store`
+
+    # Forward recursion.  Windows hand alpha across their shared
+    # boundaries, so this is one continuous pass whatever the schedule.
+    t_forward = perf_counter()
     alpha = np.full((8, blocks), METRIC_NEG_INF)
     alpha[0] = 0.0
     for k in range(n):
@@ -440,7 +438,6 @@ def siso_decode(inp: SisoInput, config) -> SisoResult:
     # every lane is slab [j], and lanes 0..v-1 are its first v*blocks
     # rows.  Reshaping the contiguous arrays copies nothing.
     gam_rows = gam.reshape(L, 2, rows)
-    llr = np.empty((L, rows))
     alpha_col = np.zeros((8, rows))   # row 0 stays 0: the normalized state 0
     alpha_lanes = alpha_col[1:].reshape(7, lanes, blocks)
 
@@ -448,7 +445,9 @@ def siso_decode(inp: SisoInput, config) -> SisoResult:
         # stage w*L + j of each lane; the first `live` rows (the lanes
         # that have it in the block) step, reading lane w + d's slab.  A
         # window step (d == 0) first forms the live lanes' stage-j LLRs
-        # from the step's own gathers, while beta still holds stage j + 1.
+        # from the step's own gathers, while beta still holds stage j + 1,
+        # and writes them into row 0 of slab j, which no later step reads:
+        # acquisition steps run first, and window steps in descending j.
         d, c = divmod(j, L)
         live = -(-(n - j) // L) * blocks
         first = d * blocks
@@ -462,7 +461,8 @@ def siso_decode(inp: SisoInput, config) -> SisoResult:
             np.subtract(a, g, out=vals[1])
             vals += cand
             vals = vals.reshape(16, live).take(_LLR_EDGES, axis=0)
-            llr[j, :live] = max_star_reduce(vals[:8], mode) - max_star_reduce(vals[8:], mode)
+            np.subtract(max_star_reduce(vals[:8], mode), max_star_reduce(vals[8:], mode),
+                        out=gam_rows[j, 0, :live])
         out = _butterfly(cand, g, mode)
         if live == rows:
             return out
@@ -489,11 +489,14 @@ def siso_decode(inp: SisoInput, config) -> SisoResult:
             acquisition_s=t_backward - t_acquisition,
             backward_llr_s=perf_counter() - t_backward))
 
-    # back to block-major, one copy per call, with the table and the
-    # store already freed; the padding lanes' LLR rows are never written
-    del gam, gam_rows, store, stored
-    llr = llr.reshape(L, lanes, blocks).transpose(2, 1, 0).reshape(
+    # back to block-major in one copy, with the store already freed and
+    # the table freed right after: a reshape alone would return a view of
+    # the table when there is one lane.  The padding lanes' LLR rows are
+    # never written and are cut off.
+    del store, stored
+    llr = np.ascontiguousarray(gam[:, 0].transpose(2, 1, 0)).reshape(
         blocks, span)[:, :n].reshape(batch + (n,))
+    del gam, gam_rows
     extrinsic = llr - inp.lu
 
     stages = 2 * n + sum(lane_acq)   # butterfly stages; costs: see OpCounts
@@ -524,5 +527,11 @@ def quantize_llrs(llrs, bits: int, frac_bits: int) -> np.ndarray:
     lo = -(2 ** (bits - 1)) * step
     hi = (2 ** (bits - 1) - 1) * step
     # clipped first, so no finite LLR overflows in the divide: lo and hi
-    # are whole steps and step is a power of two, so the bits are the same
-    return np.round(np.clip(_checks.float_array(llrs), lo, hi) / step) * step
+    # are whole steps and step is a power of two, so the bits are the
+    # same.  The clip allocates the one new array; the rest runs in it.
+    llrs = _checks.float_array(llrs)
+    out = np.clip(llrs, lo, hi, out=np.empty_like(llrs))
+    out /= step
+    np.round(out, out=out)
+    out *= step
+    return out if out.ndim else out[()]

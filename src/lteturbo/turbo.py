@@ -77,8 +77,6 @@ def turbo_decode(ch: CodeWord, config: DecoderConfig,
     ip = inverse_permutation(qpp)
 
     lu = _checks.bounded("systematic LLRs", quant(ch.systematic), _EXCHANGE_LIMIT)
-    parity1 = quant(ch.parity1)
-    parity2 = quant(ch.parity2)
     t1i, t1p = quant(ch.tail1_info), quant(ch.tail1_parity)
     t2i, t2p = quant(ch.tail2_info), quant(ch.tail2_parity)
 
@@ -86,26 +84,34 @@ def turbo_decode(ch: CodeWord, config: DecoderConfig,
     trace = [] if trace_iterations else None
     apriori = np.zeros_like(lu)
     for i in range(1, config.iterations + 1):
-        # Decoder 2 is where a batch peaks, so no dead block-sized array
-        # lives beside it: decoder 1's input is summed into apriori's
-        # buffer and dropped with it, each SisoResult is dropped once
-        # read, and the combined LLRs (ext1 is kept for them) are formed
-        # only where they are read.
-        s1 = siso_decode(SisoInput(lu=np.add(lu, apriori, out=apriori), lc2=parity1,
+        # A SISO call is where a batch peaks, so no dead block-sized array
+        # lives beside one: each parity stream is quantized at its call,
+        # decoder 1's input is summed into apriori's buffer, each
+        # SisoResult is dropped before its extrinsic is quantized, and no
+        # ext1 is kept: lu + ext1 is summed into its buffer and gathered
+        # as decoder 2's input, and the combined LLRs come from that
+        # input's inverse gather, bit for bit (lu + ext1) + apriori.
+        s1 = siso_decode(SisoInput(lu=np.add(lu, apriori, out=apriori), lc2=quant(ch.parity1),
                                    tail_lu=t1i, tail_lc2=t1p), config)
         del apriori
-        ext1 = quant(_saturate(s1.extrinsic))
+        ext1 = s1.extrinsic
         ops += s1.ops
         del s1
-        s2 = siso_decode(SisoInput(lu=(lu + ext1)[..., pi], lc2=parity2,
+        ext1 = quant(_saturate(ext1))
+        lu2 = np.add(lu, ext1, out=ext1)[..., pi]
+        del ext1
+        s2 = siso_decode(SisoInput(lu=lu2, lc2=quant(ch.parity2),
                                    tail_lu=t2i, tail_lc2=t2p), config)
-        apriori = quant(_saturate(s2.extrinsic))[..., ip]
+        ext2 = s2.extrinsic
         ops += s2.ops
         del s2
+        apriori = quant(_saturate(ext2))[..., ip]
+        del ext2
         if trace is not None or i == config.iterations:
-            combined = lu + ext1 + apriori
+            combined = lu2[..., ip] + apriori
             if trace is not None:
                 trace.append(combined)
+        del lu2
     # Hard decisions are built once here, not per iteration: an extra
     # per-iteration array raised the sweep's peak RSS by about 10%.
     return DecodeResult(

@@ -146,9 +146,14 @@ def test_channel_config(ebn0_db, code_rate, n):
 @example(received="1.5", noise_variance=1.0)
 @example(received=["1", 2], noise_variance=1.0)
 @example(received=1j, noise_variance=1.0)
+@example(received=[1e308], noise_variance=1.0)
+@example(received=[1e300], noise_variance=1e-10)
 def test_llr_demap(received, noise_variance):
-    refused_or_returned(llr_demap, received, noise_variance)
+    llrs = refused_or_returned(llr_demap, received, noise_variance)
     assert isinstance(refused_with(llr_demap, received, 1.0), TypeError) != real_numbers(received)
+    if llrs is not None:
+        # a finite received value whose LLR is beyond float64 is refused, not made +-inf
+        assert np.isfinite(llrs[np.isfinite(np.asarray(received, dtype=np.float64))]).all()
 
 
 BIT_DTYPES = st.sampled_from([np.uint8, np.int64, np.float64])

@@ -259,22 +259,27 @@ class TestSisoDecode:
         assert log[0].nbytes == 8 * 7 * n
 
     def test_peak_memory_is_the_store_the_table_and_the_llrs(self):
-        # 7n stored metrics, the 2n-value branch-metric table and the
-        # n stage-major LLRs per block, plus one block-sized array for the
-        # per-stage registers; the table and the store are freed before
-        # the LLRs are copied out block-major beside the extrinsics
+        # A call peaks in its loops at the forward store (7 values per
+        # stage and block, stages rounded up to span, whole windows) and
+        # the branch-metric table (2 per stage), with the halved inputs in
+        # the store's buffer and the LLRs in the table's slabs, plus one
+        # block-sized array for the per-stage registers.  After the loops
+        # the store goes, the LLRs are copied out beside the table, and
+        # the table goes before the extrinsics are formed.  Window 100
+        # does not divide n: its padding stages cost store and table only.
         n, blocks = 1024, 32
         lu, lc2 = np.random.default_rng(29).normal(0, 3, (2, blocks, n))
         inp = SisoInput(lu=lu, lc2=lc2, tail_lu=lu[:, :3], tail_lc2=lc2[:, :3])
-        cfg = config_for(MaxStarMode.LOG_MAP)
-        siso_decode(inp, cfg)
-        tracemalloc.start()
-        try:
+        for window_len, span in ((None, n), (100, 1100)):
+            cfg = config_for(MaxStarMode.LOG_MAP, window_len=window_len)
             siso_decode(inp, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= (7 + 2 + 1 + 1) * 8 * n * blocks
+            tracemalloc.start()
+            try:
+                siso_decode(inp, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= ((7 + 2) * span + n) * 8 * blocks
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="shape"):
@@ -600,6 +605,21 @@ class TestQuantize:
     def test_vector(self):
         out = quantize_llrs(np.array([0.1, -0.1, 3.9]), 6, 2)
         np.testing.assert_array_equal(out, [0.0, -0.0, 4.0])
+        # every valid (bits, frac_bits) pair: byte for byte the clip,
+        # divide, round and multiply, in a new array, x untouched
+        fine = np.arange(-2 ** 17, 2 ** 17 + 1) / 2 ** 16   # half steps of every grid in [-2, 2]
+        wide = np.arange(-2 ** 15, 2 ** 15) + 0.5            # ties up to the widest grid's ends
+        x = np.concatenate([fine, wide, [0.0, -0.0, 1e308, -1e308, np.nan, np.inf, -np.inf]])
+        before = x.tobytes()
+        pairs = [(bits, frac) for bits in range(2, 17) for frac in range(bits)]
+        for bits, frac in pairs:
+            step = 2.0 ** -frac
+            lo, hi = -(2 ** (bits - 1)) * step, (2 ** (bits - 1) - 1) * step
+            out = quantize_llrs(x, bits, frac)
+            assert out.tobytes() == (np.round(np.clip(x, lo, hi) / step) * step).tobytes()
+            assert not np.shares_memory(out, x)
+            assert x.tobytes() == before
+        assert len(pairs) == 135
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -227,21 +227,38 @@ def traced_peak(fn):
 
 class TestMemory:
     def test_decode_batch_peak_is_bounded_by_the_live_arrays(self):
-        # What a decode batch must hold at its peak, inside decoder 2:
-        # the forward store (7n values per block) and the branch-metric
-        # table (2n), plus three block-sized arrays -- decoder 2's input,
-        # ext1 (read again for the combined LLRs) and the SISO's LLR rows
-        # -- and a fourth for the per-stage registers and gathers.  The
-        # channel LLRs are the caller's.  A stale buffer beside a SISO
-        # call (a pre-interleaved lu, a per-iteration combined, the last
-        # a-priori or extrinsic vector) or a four-entry table breaks it.
+        # A decode batch peaks inside a SISO call.  Unquantized, it then
+        # holds the forward store (7n values per block), the branch-metric
+        # table (2n) and the call's input (decoder 1's sum in apriori's
+        # buffer, or decoder 2's gathered lu + ext1), plus one block-sized
+        # array for the per-stage registers, gathers and numpy's ufunc
+        # buffers.  The channel LLRs, and so lu and the parities, are the
+        # caller's.  A dead array beside a SISO call (ext1, a SisoResult, a
+        # per-iteration combined, the last a-priori or extrinsic vector),
+        # the halved inputs beside the table or a four-entry table breaks it.
         n, blocks = 1024, 32
         qpp = params_for_block_size(n)
         _, ch = simulate_blocks(qpp, noise_variance=0.8, seed=34, lo=0, hi=blocks)
         config = DecoderConfig(mode=MaxStarMode.LOG_MAP, iterations=2, qpp=qpp)
         turbo_decode(ch, config)   # one-time allocations are not the decode's
         block = 8 * n * blocks
-        assert traced_peak(lambda: turbo_decode(ch, config)) <= (7 + 2 + 4) * block
+        assert traced_peak(lambda: turbo_decode(ch, config)) <= (7 + 2 + 2) * block
+
+    def test_quantized_windowed_peak_is_bounded_by_the_live_arrays(self):
+        # Quantized, a SISO call holds the store and the table, three
+        # block-sized arrays of the decode's own -- the quantized
+        # systematic LLRs (lu), the call's input and its parity stream,
+        # quantized at the call -- and two more for the lanes' registers,
+        # gathers and ufunc buffers.  Both parities quantized for the
+        # whole decode, or a quantizer's temporaries, break it.
+        n, blocks = 1024, 32
+        qpp = params_for_block_size(n)
+        _, ch = simulate_blocks(qpp, noise_variance=0.8, seed=34, lo=0, hi=blocks)
+        config = DecoderConfig(mode=MaxStarMode.LINEAR_LOG, iterations=2, qpp=qpp, window_len=64,
+                               acquisition_len=32, quantization=(6, 2))
+        turbo_decode(ch, config)
+        block = 8 * n * blocks
+        assert traced_peak(lambda: turbo_decode(ch, config)) <= (7 + 2 + 5) * block
 
 
 class TestMonteCarlo:
