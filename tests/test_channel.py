@@ -3,13 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lteturbo import turbo
 from lteturbo.channel import (ChannelConfig, block_rng, bpsk_modulate,
                               llr_demap, rekey_block_rng, serialize_codeword,
                               split_llrs)
-from lteturbo.qpp import params_for_block_size
+from lteturbo.qpp import QppParams, params_for_block_size
 from lteturbo.trellis import turbo_encode
 from lteturbo.turbo import simulate_blocks
 
@@ -110,15 +110,26 @@ class TestAwgn:
             with pytest.raises(ValueError, match="noise variance"):
                 simulate_blocks(QPP40, noise_variance, 0, 0, 4)
 
-    def test_noise_follows_the_bits_on_the_block_stream(self):
-        # block b: n bits, then 3n + 12 Gaussians, both from block_rng(seed, b)
-        sigma2 = 0.7
-        _, ch = simulate_blocks(QPP40, sigma2, 12, 5, 8)
-        for i, b in enumerate(range(5, 8)):
-            rng = block_rng(12, b)
-            want_bits = rng.integers(0, 2, 40, dtype=np.uint8)
-            rx = sent_symbols(want_bits, QPP40) + np.sqrt(sigma2) * rng.standard_normal(132)
-            want = split_llrs(llr_demap(rx, sigma2), 40)
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), lo=st.integers(0, 2 ** 64 - 3),
+           n=st.integers(1, 1536).map(lambda k: 4 * k))
+    @example(seed=12, lo=5, n=40)
+    @example(seed=0, lo=0, n=4)             # n = 4 (mod 8): half a word left over
+    @example(seed=1, lo=2 ** 64 - 3, n=6140)
+    @example(seed=2, lo=7, n=6144)
+    def test_noise_follows_the_bits_on_the_block_stream(self, seed, lo, n):
+        # block b: the bits of integers(0, 2, n, dtype=np.uint8), then 3n + 12
+        # Gaussians, both from block_rng(seed, b).  simulate_blocks takes the
+        # bits from ceil(n/8) raw Philox words, so this holds numpy's sampler
+        # to that for every n that QppParams admits
+        qpp, sigma2 = QppParams(n, 1, 0), 0.7
+        bits, ch = simulate_blocks(qpp, sigma2, seed, lo, lo + 3)
+        for i in range(3):
+            rng = block_rng(seed, lo + i)
+            want_bits = rng.integers(0, 2, n, dtype=np.uint8)
+            assert bits[i].tobytes() == want_bits.tobytes()
+            rx = sent_symbols(want_bits, qpp) + np.sqrt(sigma2) * rng.standard_normal(3 * n + 12)
+            want = split_llrs(llr_demap(rx, sigma2), n)
             for f in dataclasses.fields(want):
                 assert getattr(ch, f.name)[i].tobytes() == getattr(want, f.name).tobytes()
 
@@ -234,7 +245,7 @@ class TestSimulateBlocks:
 
     def test_one_generator_per_range(self, monkeypatch):
         # later blocks re-key it: block_rng is built once, also across a
-        # run's batches (512 + 88 blocks at n=40)
+        # run's batches (1024 + 76 blocks at n=40)
         calls = []
         monkeypatch.setattr(turbo, "block_rng",
                             lambda *key: calls.append(key) or block_rng(*key))
@@ -243,8 +254,8 @@ class TestSimulateBlocks:
         assert calls == [(4, 3)]
         config = turbo.DecoderConfig(iterations=1, qpp=QPP40)
         calls.clear()
-        turbo.run_monte_carlo(config, 1.0, 600, seed=4)
-        assert calls == [(4, 0), (4, 512)]
+        turbo.run_monte_carlo(config, 1.0, 1100, seed=4)
+        assert calls == [(4, 0), (4, 1024)]
 
     def test_non_integer_seed_rejected(self):
         # seed 3.7 silently repeated seed 3's blocks

@@ -315,6 +315,19 @@ class TestMonteCarlo:
         assert mc.bit_errors == errors.sum() > 0
         assert mc.block_errors == errors.any(axis=-1).sum()
 
+    @pytest.mark.parametrize("n, batch", [(40, 1024), (256, 1024), (264, 992),
+                                          (1024, 256), (6144, 42)])
+    def test_batch_size_rule(self, n, batch):
+        assert turbo._default_batch_size(n) == batch
+
+    def test_no_batch_stores_more_than_2_18_stages(self):
+        # each batch is the largest one within the forward-store budget,
+        # up to 1024 blocks
+        for n in range(1, 6145):
+            batch = turbo._default_batch_size(n)
+            assert batch * n <= 2 ** 18
+            assert batch == 1024 or (batch + 1) * n > 2 ** 18
+
     def test_decode_time_is_measured(self):
         config = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=2, qpp=QPP40)
         assert run_monte_carlo(config, 1.0, 3, seed=5).decode_s > 0
