@@ -45,19 +45,20 @@ def instance(name: str, value, kind, what: str | None = None):
     return value
 
 
-def float_array(x) -> np.ndarray:
-    """x, real numbers, as a float64 array.
-
-    NaN passes: bounded refuses it where LLRs enter the decoder, so
-    quantize_llrs, which runs every half-iteration, scans for none.
+def float_arrays(*operands) -> list[np.ndarray]:
+    """The operands, real numbers, as float64 arrays, every kind checked
+    before any value.  NaN passes: bounded refuses it where LLRs enter
+    the decoder, so quantize_llrs, which runs every half-iteration,
+    scans for none.
     """
-    a = np.asarray(x)
-    # dtype object: ints beyond 64 bits, or values that are no numbers (None)
-    if a.dtype.kind not in "biuf" and not (
-            a.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in a.flat)):
-        raise TypeError(f"values must be real numbers, got dtype {a.dtype}")
+    arrays = [np.asarray(x) for x in operands]
+    for a in arrays:
+        # dtype object: ints beyond 64 bits, or values that are no numbers (None)
+        if a.dtype.kind not in "biuf" and not (
+                a.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in a.flat)):
+            raise TypeError(f"values must be real numbers, got dtype {a.dtype}")
     try:
-        return a.astype(np.float64, copy=False)
+        return [a.astype(np.float64, copy=False) for a in arrays]
     except OverflowError as exc:   # an integer beyond float64
         raise ValueError(f"value out of float64 range: {exc}") from None
 

@@ -94,7 +94,7 @@ def llr_demap(received, noise_variance: float) -> np.ndarray:
     A finite received value for which 2r or L overflows float64 raises
     ValueError; +-inf and NaN received values give +-inf and NaN.
     """
-    received = _checks.float_array(received)
+    [received] = _checks.float_arrays(received)
     noise_variance = _checks.positive("noise variance", noise_variance)
     with np.errstate(over="ignore"):
         llrs = 2.0 * received / noise_variance
@@ -115,7 +115,7 @@ def split_llrs(llrs, n: int) -> CodeWord:
     """Undo serialize_codeword on a demapped LLR vector: the code word's
     seven streams, holding LLRs."""
     n = _checks.integer("block size", n, 1)
-    llrs = _checks.float_array(llrs)
+    [llrs] = _checks.float_arrays(llrs)
     if llrs.shape[-1:] != (3 * n + 12,):
         raise ValueError(f"expected {3 * n + 12} LLRs per block for block size {n}, "
                          f"got shape {llrs.shape}")

@@ -83,14 +83,12 @@ class MaxStarMode(enum.Enum):
 
 def max_star(x, y, mode: MaxStarMode = MaxStarMode.LOG_MAP):
     """Elementwise max* of two finite metrics, real scalars or broadcastable
-    arrays read by _checks.float_array; an infinite one gives NaN.  Writes
+    arrays read by _checks.float_arrays; an infinite one gives NaN.  Writes
     neither input (see the module docstring)."""
     if mode.__class__ is not MaxStarMode:   # an identity test: no call for a valid mode
         _checks.instance("mode", mode, MaxStarMode)
-    if x.__class__ is not np.ndarray or x.dtype is not _F64:   # float_array returns it as is
-        x = _checks.float_array(x)
-    if y.__class__ is not np.ndarray or y.dtype is not _F64:
-        y = _checks.float_array(y)
+    if not (x.__class__ is y.__class__ is np.ndarray and x.dtype is y.dtype is _F64):
+        x, y = _checks.float_arrays(x, y)   # float64 arrays come back as they are
     m = np.maximum(x, y)
     if mode is MaxStarMode.MAX_LOG:
         return m
@@ -134,7 +132,7 @@ def max_star_reduce(values, mode: MaxStarMode = MaxStarMode.LOG_MAP):
     if mode.__class__ is not MaxStarMode:   # as in max_star
         _checks.instance("mode", mode, MaxStarMode)
     if values.__class__ is not np.ndarray or values.dtype is not _F64:   # as x in max_star
-        values = _checks.float_array(values)
+        [values] = _checks.float_arrays(values)
     if values.ndim == 0 or len(values) == 0:
         raise ValueError("max_star_reduce needs a non-empty axis to reduce")
     if mode is MaxStarMode.MAX_LOG:

@@ -61,7 +61,8 @@ cost-saving conventions throughout:
 * Boundaries.  The forward recursion starts from the known state 0.  The
   backward recursion starts from state 0 at the end of the tail section
   and consumes the three tail-stage LLRs to reach the end of the
-  information section.  In sliding-window mode each lane but the last
+  information section (all-zero tail LLRs leave it uniform, +0.0 in all
+  eight states).  In sliding-window mode each lane but the last
   acquires its backward boundary by recursing over up to
   `acquisition_len` stages of the following windows, from an all-zero
   (uniform) start, or from the tail boundary when the acquisition
@@ -121,9 +122,9 @@ class OpCounts:
     * muls counts correction-term multiplies: one per max* pair and
       seven per reduction in LINEAR_LOG mode, zero in the other modes.
       One-time setup work (e.g. interleaver generation) is not counted.
-    * stream_reads is 3 per trellis stage (the same three streams,
-      tail stages included); stream_writes is 2 per information stage
-      (output LLR and extrinsic).
+    * stream_reads is 3 per trellis stage, the three tail stages
+      included: 3(n + 3) per block.  stream_writes is 2 per information
+      stage (output LLR and extrinsic).
     """
     adds: int = 0
     subs: int = 0
@@ -149,8 +150,7 @@ def compute_branch_metrics(lu, lc2, axis: int = -1) -> np.ndarray:
     of the result (last by default).  Every edge's metric is +g1, -g1,
     +g2 or -g2; _edge_wiring says which.
     """
-    lu = _checks.float_array(lu)
-    lc2 = _checks.float_array(lc2)
+    lu, lc2 = _checks.float_arrays(lu, lc2)
     shape = np.broadcast_shapes(lu.shape, lc2.shape)
     axis = _checks.integer("axis", axis, -len(shape) - 1, len(shape)) % (len(shape) + 1)
     # written in place: no block-sized temporaries besides the table
@@ -311,26 +311,25 @@ class SisoInput:
                    information bit itself, so its channel LLRs are part
                    of lu.
     lc2  (..., n)  second-coded-stream LLRs: the parity stream.
-    tail_lu, tail_lc2  (..., 3)  the same two streams for the termination
-                   stages.  Give both or neither; leave both None for a
-                   block without termination: the backward recursion
-                   then starts uniform instead of pinned to state 0.
+    tail_lu, tail_lc2  (..., 3)  the same two streams for the three
+                   termination stages.  All-zero tails decode a block
+                   without termination: from state 0 they leave +0.0 in
+                   all eight states, the uniform start.
     """
     lu: np.ndarray
     lc2: np.ndarray
-    tail_lu: np.ndarray | None = None
-    tail_lc2: np.ndarray | None = None
+    tail_lu: np.ndarray
+    tail_lc2: np.ndarray
 
     def __post_init__(self):
-        if (self.tail_lu is None) != (self.tail_lc2 is None):
-            raise ValueError("a tail needs both tail_lu and tail_lc2, or neither")
-        names = ("lu", "lc2") + (() if self.tail_lu is None else ("tail_lu", "tail_lc2"))
-        lu, lc2, *tail = streams = [_checks.float_array(getattr(self, name)) for name in names]
+        names = ("lu", "lc2", "tail_lu", "tail_lc2")
+        lu, lc2, tail_lu, tail_lc2 = streams = _checks.float_arrays(
+            *(getattr(self, name) for name in names))
         if lu.shape != lc2.shape:
             raise ValueError(f"input streams disagree in shape: {lu.shape}, {lc2.shape}")
         if lu.ndim == 0 or lu.shape[-1] == 0:
             raise ValueError(f"a block needs at least one stage, got shape {lu.shape}")
-        if tail and not tail[0].shape == tail[1].shape == lu.shape[:-1] + (3,):
+        if not tail_lu.shape == tail_lc2.shape == lu.shape[:-1] + (3,):
             raise ValueError("tail LLRs must have shape (..., 3) matching the block batch")
         for name, a in zip(names, streams):
             object.__setattr__(self, name, _checks.bounded("input LLRs", a, _LLR_LIMIT))
@@ -355,11 +354,9 @@ def _tail_boundary(inp: SisoInput, mode):
     """Backward metrics (8, blocks) at the end of the information section.
 
     Runs the recursion from state 0 at the end of the tail through the
-    three tail stages; with no tail information the boundary is uniform.
+    three tail stages.
     """
     blocks = int(np.prod(inp.batch_shape, dtype=np.int64))
-    if inp.tail_lu is None:
-        return np.zeros((8, blocks))
     beta = np.full((8, blocks), METRIC_NEG_INF)
     beta[0] = 0.0
     tg = compute_branch_metrics(0.5 * inp.tail_lu.reshape(blocks, 3).T,
@@ -505,7 +502,7 @@ def siso_decode(inp: SisoInput, config) -> SisoResult:
         subs=(2 * n + 7 * stages + 2 * n) * blocks,
         max_star_pairs=8 * stages * blocks,
         llr_reduces=2 * n * blocks,
-        stream_reads=3 * (n + (3 if inp.tail_lu is not None else 0)) * blocks,
+        stream_reads=3 * (n + 3) * blocks,
         stream_writes=2 * n * blocks,
     )
     if mode is MaxStarMode.LINEAR_LOG:
@@ -529,7 +526,7 @@ def quantize_llrs(llrs, bits: int, frac_bits: int) -> np.ndarray:
     # clipped first, so no finite LLR overflows in the divide: lo and hi
     # are whole steps and step is a power of two, so the bits are the
     # same.  The clip allocates the one new array; the rest runs in it.
-    llrs = _checks.float_array(llrs)
+    [llrs] = _checks.float_arrays(llrs)
     out = np.clip(llrs, lo, hi, out=np.empty_like(llrs))
     out /= step
     np.round(out, out=out)

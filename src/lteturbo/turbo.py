@@ -69,14 +69,15 @@ def turbo_decode(ch: CodeWord, config: DecoderConfig,
     qpp = _checks.instance("config", config, DecoderConfig).qpp
     if qpp is None:
         raise ValueError("turbo decoding needs DecoderConfig.qpp")
-    if ch.systematic.shape[-1] != qpp.n:
-        raise ValueError(f"channel LLR length {ch.systematic.shape[-1]} does not match "
+    [systematic] = _checks.float_arrays(ch.systematic)
+    if systematic.shape[-1:] != (qpp.n,):
+        raise ValueError(f"channel LLR shape {systematic.shape} does not match "
                          f"interleaver block size {qpp.n}")
     quant = _quantizer(config)
     pi = permutation(qpp)
     ip = inverse_permutation(qpp)
 
-    lu = _checks.bounded("systematic LLRs", quant(ch.systematic), _EXCHANGE_LIMIT)
+    lu = _checks.bounded("systematic LLRs", quant(systematic), _EXCHANGE_LIMIT)
     t1i, t1p = quant(ch.tail1_info), quant(ch.tail1_parity)
     t2i, t2p = quant(ch.tail2_info), quant(ch.tail2_parity)
 

@@ -151,7 +151,6 @@ def window_reference_llrs(lu, lc2, tail_lu, tail_lc2, mode, window_len,
     u*lu/2 + c2*lc2/2 with bipolar labels; with normalize the state-0
     metric is subtracted after every stage.  c, t, a, t_lin are the
     correction constants of the constant and linear kernels.
-    tail_lu=None means no termination (uniform end).
     """
     n = len(lu)
     star = lambda x, y: _ref_max_star(x, y, mode, c, t, a, t_lin)
@@ -178,12 +177,9 @@ def window_reference_llrs(lu, lc2, tail_lu, tail_lc2, mode, window_len,
         alphas.append(alpha)
         alpha = step(alpha, half_lu[k], half_lc2[k], True)
 
-    if tail_lu is None:
-        tail_beta = [0.0] * 8
-    else:
-        tail_beta = [0.0] + [_UNREACHABLE] * 7
-        for k in (2, 1, 0):
-            tail_beta = step(tail_beta, 0.5 * tail_lu[k], 0.5 * tail_lc2[k], False)
+    tail_beta = [0.0] + [_UNREACHABLE] * 7
+    for k in (2, 1, 0):
+        tail_beta = step(tail_beta, 0.5 * tail_lu[k], 0.5 * tail_lc2[k], False)
 
     llrs = [0.0] * n
     for w0 in range(0, n, window_len):

@@ -96,17 +96,18 @@ def siso_streams(draw):
     def stream(s):
         return draw(st.one_of(hnp.arrays(np.float64, s), ARRAYS))
 
-    tails = draw(st.sampled_from([(), (0,), (0, 1)]))   # none, one or both
-    tail = [stream(tail_shape) if i in tails else None for i in (0, 1)]
-    return stream(shape), stream(shape), *tail
+    return stream(shape), stream(shape), stream(tail_shape), stream(tail_shape)
 
 
 @settings(max_examples=150, deadline=None)
 @given(streams=siso_streams())
-@example(streams=([10 ** 400], [1.0], None, None))
+@example(streams=([10 ** 400], [1.0], np.zeros(3), np.zeros(3)))
+@example(streams=([10 ** 400], [None], np.zeros(3), np.zeros(3)))
+@example(streams=([10 ** 400], [1.0], np.zeros(3), None))
 def test_siso_input(streams):
-    lu, lc2, tail_lu, tail_lc2 = streams
-    refused_or_returned(SisoInput, lu=lu, lc2=lc2, tail_lu=tail_lu, tail_lc2=tail_lc2)
+    # the kinds of all four streams are checked before any value
+    refusal = refused_with(SisoInput, *streams)
+    assert isinstance(refusal, TypeError) != all(map(real_numbers, streams))
 
 
 @settings(max_examples=100, deadline=None)
@@ -271,11 +272,22 @@ def channel_llrs(draw):
     return split_llrs(draw(hnp.arrays(np.float64, shape, elements=values)), n)
 
 
+PARITY_AND_TAILS = [np.ones(40)] * 2 + [np.ones(3)] * 4   # beside an n=40 systematic stream
+
+
 @settings(max_examples=60, deadline=None)
-@given(ch=st.one_of(channel_llrs(), HOSTILE),
+@given(ch=st.one_of(channel_llrs(), st.builds(CodeWord, *[ARRAYS] * 7), HOSTILE),
        config=st.one_of(DECODER_CONFIGS, HOSTILE))
 @example(ch=None, config=DecoderConfig(iterations=1, qpp=QPP40))
 @example(ch=split_llrs(np.ones(132), 40), config=None)
+@example(ch=CodeWord([1.0] * 40, *PARITY_AND_TAILS),
+         config=DecoderConfig(iterations=1, qpp=QPP40))
+@example(ch=CodeWord(None, *PARITY_AND_TAILS),
+         config=DecoderConfig(iterations=1, qpp=QPP40))
+@example(ch=CodeWord("1.5", *PARITY_AND_TAILS),
+         config=DecoderConfig(iterations=1, qpp=QPP40))
+@example(ch=CodeWord(np.float64(1.0), *PARITY_AND_TAILS),
+         config=DecoderConfig(iterations=1, qpp=QPP40))
 def test_turbo_decode(ch, config):
     refused_or_returned(turbo_decode, ch, config)
 
@@ -350,17 +362,20 @@ def test_serialize_codeword(cw):
 @settings(max_examples=100, deadline=None)
 @given(lu=ARRAYS, lc2=ARRAYS, axis=st.one_of(st.integers(-4, 4), HOSTILE))
 @example(lu=[10 ** 400], lc2=[1.0], axis=-1)
+@example(lu=[10 ** 400], lc2=[None], axis=-1)
 @example(lu=[1.0], lc2=[1.0], axis=5)
 def test_compute_branch_metrics(lu, lc2, axis):
     table = refused_or_returned(compute_branch_metrics, lu, lc2, axis)
     if table is not None:
         assert table.ndim >= 1 and 2 in table.shape
+    refusal = refused_with(compute_branch_metrics, lu, lc2)
+    assert isinstance(refusal, TypeError) != (real_numbers(lu) and real_numbers(lc2))
 
 
 @st.composite
 def siso_inputs(draw):
-    """A SisoInput of one block or two, n in 1..9, with or without a tail,
-    its LLRs up to SisoInput's bound."""
+    """A SisoInput of one block or two, n in 1..9, with a drawn or an
+    all-zero tail, its LLRs up to SisoInput's bound."""
     lead = draw(st.sampled_from([(), (2,)]))
     n = draw(st.integers(1, 9))
     llrs = st.one_of(st.floats(-30, 30), st.sampled_from([1e250, -1e250]))
@@ -368,14 +383,14 @@ def siso_inputs(draw):
     def stream(width):
         return draw(hnp.arrays(np.float64, lead + (width,), elements=llrs))
 
-    tail = [stream(3), stream(3)] if draw(st.booleans()) else [None, None]
+    tail = [stream(3), stream(3)] if draw(st.booleans()) else [np.zeros(lead + (3,))] * 2
     return SisoInput(stream(n), stream(n), *tail)
 
 
 @settings(max_examples=100, deadline=None)
 @given(inp=st.one_of(siso_inputs(), HOSTILE), config=st.one_of(DECODER_CONFIGS, HOSTILE))
 @example(inp=None, config=None)
-@example(inp=SisoInput(np.zeros(4), np.zeros(4)), config=None)
+@example(inp=SisoInput(np.zeros(4), np.zeros(4), np.zeros(3), np.zeros(3)), config=None)
 def test_siso_decode(inp, config):
     result = refused_or_returned(siso_decode, inp, config)
     if result is not None:
@@ -386,6 +401,7 @@ def test_siso_decode(inp, config):
 @settings(max_examples=150, deadline=None)
 @given(x=ARRAYS, y=ARRAYS, mode=st.one_of(st.sampled_from(MaxStarMode), HOSTILE))
 @example(x=10 ** 400, y=1, mode=MaxStarMode.LOG_MAP)
+@example(x=10 ** 400, y=None, mode=MaxStarMode.MAX_LOG)
 @example(x=1.0, y=2.0, mode="log-map")
 @example(x=None, y=1.0, mode=MaxStarMode.MAX_LOG)
 @example(x=1.0, y=[None, 1.0], mode=MaxStarMode.MAX_LOG)

@@ -19,6 +19,14 @@ from oracles import (dyadic, exhaustive_llrs, naive_state_update,
 ALL_MODES = list(MaxStarMode)
 
 
+ZERO_TAIL = (np.zeros(3), np.zeros(3))
+
+
+def row(inp, i):
+    """Block i of a batched SisoInput, alone."""
+    return SisoInput(inp.lu[i], inp.lc2[i], inp.tail_lu[i], inp.tail_lc2[i])
+
+
 def random_siso_input(rng, n, dyadic_grid=False):
     draw = (lambda shape: dyadic(rng, shape)) if dyadic_grid else (
         lambda shape: rng.normal(0, 4, shape))
@@ -283,11 +291,11 @@ class TestSisoDecode:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="shape"):
-            SisoInput(lu=np.zeros(8), lc2=np.zeros(9))
+            SisoInput(np.zeros(8), np.zeros(9), *ZERO_TAIL)
         with pytest.raises(ValueError, match="finite"):
-            SisoInput(lu=np.array([np.inf, 0.0]), lc2=np.zeros(2))
+            SisoInput(np.array([np.inf, 0.0]), np.zeros(2), *ZERO_TAIL)
         with pytest.raises(ValueError, match="tail"):
-            SisoInput(lu=np.zeros(8), lc2=np.zeros(8), tail_lu=np.zeros(4))
+            SisoInput(np.zeros(8), np.zeros(8), np.zeros(4), np.zeros(4))
 
     @pytest.mark.parametrize("bad", [1e260, -1e260, np.inf, np.nan])
     def test_rejects_non_finite_or_huge_llrs(self, bad):
@@ -301,22 +309,33 @@ class TestSisoDecode:
                 SisoInput(**streams)
 
     def test_accepts_llrs_at_the_bound(self):
-        inp = SisoInput(lu=np.array([1e250, -1e250]), lc2=np.zeros(2))
+        inp = SisoInput(np.array([1e250, -1e250]), np.zeros(2), *ZERO_TAIL)
         assert np.isfinite(siso_decode(inp, config_for(MaxStarMode.MAX_LOG)).llr_out).all()
 
     def test_empty_block_rejected(self):
         with pytest.raises(ValueError, match="stage"):
-            SisoInput(lu=np.zeros((2, 0)), lc2=np.zeros((2, 0)))
+            SisoInput(np.zeros((2, 0)), np.zeros((2, 0)), np.zeros((2, 3)), np.zeros((2, 3)))
         with pytest.raises(ValueError, match="stage"):
-            SisoInput(lu=np.zeros(()), lc2=np.zeros(()))
+            SisoInput(np.zeros(()), np.zeros(()), *ZERO_TAIL)
 
     def test_tail_needs_both_halves(self):
-        # one half alone would decode as unterminated (tail_lc2 only)
-        # or with a silent zero parity tail (tail_lu only)
-        with pytest.raises(ValueError, match="tail"):
-            SisoInput(lu=np.zeros(8), lc2=np.zeros(8), tail_lc2=np.ones(3))
-        with pytest.raises(ValueError, match="tail"):
-            SisoInput(lu=np.zeros(8), lc2=np.zeros(8), tail_lu=np.ones(3))
+        # a tail is required: a missing half is no numbers, not a zero tail
+        with pytest.raises(TypeError, match="real numbers"):
+            SisoInput(np.zeros(8), np.zeros(8), None, np.ones(3))
+        with pytest.raises(TypeError, match="real numbers"):
+            SisoInput(np.zeros(8), np.zeros(8), np.ones(3), None)
+
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 5)])
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_zero_tail_boundary_is_uniform(self, mode, batch):
+        # what lets every block carry a tail: three zero-metric steps from
+        # state 0 reach every state by one path, and the sentinel zeroes
+        # every correction, so each state ends at +0.0, the uniform start
+        zeros = np.zeros(batch + (3,))
+        beta = siso._tail_boundary(SisoInput(np.zeros(batch + (5,)), np.zeros(batch + (5,)),
+                                             zeros, zeros), mode)
+        assert beta.tobytes() == np.zeros((8, int(np.prod(batch)))).tobytes()
+        assert not np.signbit(beta).any()
 
     def test_lanes_step_together(self, monkeypatch):
         # every lane advances in the same stage steps and folds: one
@@ -366,7 +385,7 @@ class TestSisoDecode:
         rng = np.random.default_rng(25)
         lu, lc2 = rng.normal(0, 3, (2, 2, 3, 40))
         with track_metric_allocations() as log:
-            res = siso_decode(SisoInput(lu=lu, lc2=lc2),
+            res = siso_decode(SisoInput(lu, lc2, np.zeros((2, 3, 3)), np.zeros((2, 3, 3))),
                               config_for(MaxStarMode.MAX_LOG, window_len=16))
         assert len(log) == 1
         assert log[0].shape == (48, 7, 2, 3)
@@ -379,8 +398,8 @@ class TestSisoDecode:
 
 @st.composite
 def dyadic_siso_inputs(draw, batch=(), max_n=24):
-    """SisoInput of 1..max_n stages with LLRs on the 2**-6 grid, with or
-    without a tail."""
+    """SisoInput of 1..max_n stages with LLRs on the 2**-6 grid and a
+    drawn or an all-zero tail."""
     n = draw(st.integers(1, max_n))
 
     def stream(length):
@@ -391,8 +410,8 @@ def dyadic_siso_inputs(draw, batch=(), max_n=24):
 
     lu, lc2 = stream(n), stream(n)
     if not draw(st.booleans()):
-        return SisoInput(lu=lu, lc2=lc2)
-    return SisoInput(lu=lu, lc2=lc2, tail_lu=stream(3), tail_lc2=stream(3))
+        return SisoInput(lu, lc2, np.zeros(batch + (3,)), np.zeros(batch + (3,)))
+    return SisoInput(lu, lc2, stream(3), stream(3))
 
 
 class TestStageStepProperties:
@@ -418,9 +437,7 @@ class TestStageStepProperties:
         cfg = config_for(mode, window_len=window, acquisition_len=acq)
         batch = siso_decode(inp, cfg)
         for i in range(3):
-            tail = {} if inp.tail_lu is None else dict(
-                tail_lu=inp.tail_lu[i], tail_lc2=inp.tail_lc2[i])
-            one = siso_decode(SisoInput(lu=inp.lu[i], lc2=inp.lc2[i], **tail), cfg)
+            one = siso_decode(row(inp, i), cfg)
             assert one.llr_out.tobytes() == batch.llr_out[i].tobytes()
             assert one.extrinsic.tobytes() == batch.extrinsic[i].tobytes()
 
@@ -428,8 +445,9 @@ class TestStageStepProperties:
 @st.composite
 def windowed_case(draw, batch=(2,)):
     """(window_len, acquisition_len, input of the given batch shape) with
-    n not a multiple of window_len and an acquisition of 0, shorter than
-    a window, or longer (spanning several lanes)."""
+    n not a multiple of window_len, an acquisition of 0, shorter than
+    a window, or longer (spanning several lanes), and a drawn or an
+    all-zero tail."""
     window = draw(st.integers(2, 8))
     n = window * draw(st.integers(0, 4)) + draw(st.integers(1, window - 1))
     acq = draw(st.one_of(st.just(0), st.integers(1, window - 1),
@@ -442,8 +460,9 @@ def windowed_case(draw, batch=(2,)):
         return np.array(ints, dtype=np.float64).reshape(shape) / 64.0
 
     lu, lc2 = stream(n), stream(n)
-    tail = {} if draw(st.booleans()) else dict(tail_lu=stream(3), tail_lc2=stream(3))
-    return window, acq, SisoInput(lu=lu, lc2=lc2, **tail)
+    zero = draw(st.booleans())
+    tail = [np.zeros(batch + (3,)) if zero else stream(3) for _ in range(2)]
+    return window, acq, SisoInput(lu, lc2, *tail)
 
 
 class TestStageMajorLayout:
@@ -461,9 +480,7 @@ class TestStageMajorLayout:
         batch = siso_decode(inp, cfg)
         assert batch.llr_out.shape == batch.extrinsic.shape == (2, 3, inp.n)
         for i in np.ndindex(2, 3):
-            tail = {} if inp.tail_lu is None else dict(
-                tail_lu=inp.tail_lu[i], tail_lc2=inp.tail_lc2[i])
-            one = siso_decode(SisoInput(lu=inp.lu[i], lc2=inp.lc2[i], **tail), cfg)
+            one = siso_decode(row(inp, i), cfg)
             assert one.llr_out.tobytes() == batch.llr_out[i].tobytes()
             assert one.extrinsic.tobytes() == batch.extrinsic[i].tobytes()
 
@@ -481,10 +498,9 @@ class TestWindowReference:
         res = siso_decode(inp, config_for(mode, window_len=window,
                                           acquisition_len=acq))
         for i in range(2):
-            tail = ((None, None) if inp.tail_lu is None
-                    else (inp.tail_lu[i], inp.tail_lc2[i]))
             want = window_reference_llrs(
-                inp.lu[i].tolist(), inp.lc2[i].tolist(), *tail, mode.value,
+                inp.lu[i].tolist(), inp.lc2[i].tolist(), inp.tail_lu[i], inp.tail_lc2[i],
+                mode.value,
                 window, acq, True,
                 CONSTANT_C, CONSTANT_T, LINEAR_A, LINEAR_T)
             if mode is MaxStarMode.LOG_MAP:
@@ -504,11 +520,9 @@ class TestWindowReference:
         # the short blocks windowed_case leaves unsplit
         res = siso_decode(inp, config_for(mode))
         for i in np.ndindex(inp.batch_shape):
-            tail = ((None, None) if inp.tail_lu is None
-                    else (inp.tail_lu[i], inp.tail_lc2[i]))
             want = window_reference_llrs(
-                inp.lu[i].tolist(), inp.lc2[i].tolist(), *tail, mode.value,
-                inp.n, 0, True, CONSTANT_C, CONSTANT_T, LINEAR_A, LINEAR_T)
+                inp.lu[i].tolist(), inp.lc2[i].tolist(), inp.tail_lu[i], inp.tail_lc2[i],
+                mode.value, inp.n, 0, True, CONSTANT_C, CONSTANT_T, LINEAR_A, LINEAR_T)
             if mode is MaxStarMode.LOG_MAP:
                 np.testing.assert_allclose(res.llr_out[i], want, rtol=0, atol=1e-9)
             else:
@@ -522,9 +536,9 @@ def pinned_cases():
     """The fixed siso_decode cases of TestPinnedOutputs: (input, window,
     acquisition) triples.  Every n in 1..59 and each batch shape comes
     up; about 30% of the cases run without windows, 30% acquire over 0
-    stages and 20% have no tail.  The LLRs cycle through a 2**-6 grid,
-    Gaussian values and the 6:2 quantizer's grid, whose rounding gives
-    exact +0.0 and -0.0 entries (and lu == lc2 stages)."""
+    stages and 20% have an all-zero tail.  The LLRs cycle through a
+    2**-6 grid, Gaussian values and the 6:2 quantizer's grid, whose
+    rounding gives exact +0.0 and -0.0 entries (and lu == lc2 stages)."""
     rng = np.random.default_rng(1501)
     for i in range(420):
         n = 1 + 7 * i % 59
@@ -538,10 +552,12 @@ def pinned_cases():
             return x if grid == 1 else quantize_llrs(x / 2, 6, 2)
 
         lu, lc2 = stream(n), stream(n)
-        tail = {} if rng.random() < 0.2 else dict(tail_lu=stream(3), tail_lc2=stream(3))
+        # zero tails draw nothing from rng, so the cases stay those pinned
+        zero = np.zeros(batch + (3,))
+        tail = (zero, zero) if rng.random() < 0.2 else (stream(3), stream(3))
         window = None if rng.random() < 0.3 else int(rng.integers(1, n + 1))
         acq = 0 if rng.random() < 0.3 else int(rng.integers(1, n + 5))
-        yield SisoInput(lu=lu, lc2=lc2, **tail), window, acq
+        yield SisoInput(lu, lc2, *tail), window, acq
 
 
 def outputs_digest(mode):
@@ -578,7 +594,8 @@ class TestPinnedOutputs:
         assert len(cases) == 420
         assert {inp.n for inp, _, _ in cases} == set(range(1, 60))
         assert {inp.batch_shape for inp, _, _ in cases} == set(BATCH_SHAPES)
-        assert {inp.tail_lu is None for inp, _, _ in cases} == {True, False}
+        # zero tails and drawn tails both occur
+        assert {inp.tail_lu.any() for inp, _, _ in cases} == {True, False}
         assert any(w is None for _, w, _ in cases)
         # windows that split the block, with and without acquisition
         assert {acq == 0 for inp, w, acq in cases

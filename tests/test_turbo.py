@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lteturbo import turbo
+from lteturbo import _checks, turbo
 from lteturbo.channel import ChannelConfig
 from lteturbo.maxstar import MaxStarMode
 from lteturbo.qpp import inverse_permutation, params_for_block_size, permutation
@@ -158,6 +158,20 @@ class TestTurboDecode:
                          config)
         want = ch.systematic + s1.extrinsic + s2.extrinsic[ip]
         np.testing.assert_array_equal(res.final_llrs, want)
+
+    @pytest.mark.parametrize("mode", list(MaxStarMode))
+    def test_no_max_star_call_reaches_the_input_checks(self, mode, monkeypatch):
+        # max_star and max_star_reduce pass float64 arrays on by an
+        # identity test, so a decode converts only what enters it: the
+        # systematic stream, then per half-iteration the four SisoInput
+        # streams and the block's and the tail's branch-metric inputs
+        bits, ch = noisy_llrs(QPP40, snr_db=1.0, seed=33)
+        calls = []
+        convert = _checks.float_arrays
+        monkeypatch.setattr(_checks, "float_arrays",
+                            lambda *xs: calls.append(len(xs)) or convert(*xs))
+        turbo_decode(ch, DecoderConfig(mode=mode, iterations=2, qpp=QPP40))
+        assert calls == [1] + [4, 2, 2] * 4
 
     def test_ops_are_sums_over_half_iterations(self):
         bits, ch = noisy_llrs(QPP40, snr_db=1.0, seed=32)
