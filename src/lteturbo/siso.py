@@ -4,15 +4,17 @@ The decoder is the usual forward/backward recursion over the 8-state
 trellis with a selectable max* kernel.  The implementation follows a few
 cost-saving conventions throughout:
 
-* Branch metrics.  Only g1 = lu + lc2 and g2 = lc2 - lu are stored: a
-  (2, ...) table per stage.  An edge's metric u*lu + c2*lc2 is
-  c2*g[K], K = 0 when u == c2 and K = 1 otherwise, and _edge_wiring
-  reads each edge's (sign, K) off its labels.  The two edges of every
-  state carry +g[K] and -g[K], so a stage step adds g[K] on one edge
-  and subtracts it on the other.  That changes no bit against a table
-  that also stores -g: x - g is bitwise x + (-g), and no metric is ever
-  -0.0 (they start at +0.0 or the sentinel, and normalizing gives
-  +0.0), so which edge comes first in a max* call makes no difference.
+* Branch metrics.  Only lu + lc2 and lu - lc2 are stored: a (2, ...)
+  table g per stage.  The two edges of a state differ in u and, within
+  a butterfly, in c2, so its u=0 edge's metric lu + c2*lc2 is +g[K], K
+  that edge's parity bit, and its u=1 edge's is -g[K].  _edge_wiring
+  reads each state's far states and K off the edges' labels: row 0 of
+  a stage step is each state's u=0 edge and adds g[K], row 1 its u=1
+  edge and subtracts it.  That changes no bit against a table that also
+  stores -g: x - g is bitwise x + (-g).  No metric is ever -0.0 (they
+  start at +0.0 or the sentinel, and normalizing gives +0.0), so no
+  candidate x +- g is -0.0 either, and which edge comes first in a max*
+  call makes no difference: every kernel is symmetric off signed zeros.
 
 * Normalization.  After every stage the state-0 metric is subtracted
   from all eight, always.  Every max* variant is shift-equivariant, so
@@ -29,7 +31,9 @@ cost-saving conventions throughout:
   each backward column is consumed the moment it is produced.  The
   lanes are rows of one array.  No block-sized array outlives its last
   read: the halved inputs live in the store's buffer until the forward
-  pass overwrites them, each stage's LLRs go into its slab of the
+  pass overwrites them, block-major in its first two sevenths and
+  copied stage-major into the next two, so the table is formed from
+  contiguous operands.  Each stage's LLRs go into its slab of the
   branch-metric table once the backward step has read that slab, and
   the store goes before the LLRs are copied out, the table right after.
   A call peaks at the store and the table.
@@ -37,11 +41,13 @@ cost-saving conventions throughout:
   Every per-stage array -- branch metrics, forward metrics and
   LLR output -- is stage-major: stage k = w*L + j (lane w, window
   length L) of block b is row b of slab j*lanes + w, and the lane rows
-  are ordered (w, b).  A forward step then reads and writes one
-  contiguous slab of blocks rows, and a lane step one of lanes*blocks
-  rows, where a block-major (blocks, n, .) layout would read a column
-  whose rows lie n*32 bytes apart.  Inputs are transposed into the
-  layout once and the LLRs back once per call.
+  are ordered (w, b).  A forward step then writes one contiguous slab
+  of blocks rows, and a lane step reads one of lanes*blocks rows, where
+  a block-major (blocks, n, .) layout would read a column whose rows
+  lie n*32 bytes apart.  The forward pass runs window by window, each
+  over one contiguous copy of its lane's (L, 2, blocks) table (with one
+  lane, a view).  Inputs are transposed into the layout once and the
+  LLRs back once per call.
 
   Within a slab everything is state-major: alpha and beta are
   (8, rows), a stage's branch metrics (2, rows) from a
@@ -55,8 +61,9 @@ cost-saving conventions throughout:
 * LLR output.  Stage j's LLR is formed inside the backward step that
   retires beta's stage-(j+1) column, from that step's own gathers: the
   edge values are (alpha +- g) + beta, with beta gathered once for both
-  the butterfly and the LLR, then put in the folds' order (the eight
-  u=0 edges by start state, then the u=1 edges) by one take.
+  the butterfly and the LLR.  Their rows are already the folds' order,
+  the eight u=0 edges by start state, then the u=1 edges, so each fold
+  reduces one (8, rows) half as it stands.
 
 * Boundaries.  The forward recursion starts from the known state 0.  The
   backward recursion starts from state 0 at the end of the tail section
@@ -144,11 +151,12 @@ class OpCounts:
 
 
 def compute_branch_metrics(lu, lc2, axis: int = -1) -> np.ndarray:
-    """Branch-metric table [g1, g2] of one stage or a whole block.
+    """Branch-metric table [lu + lc2, lu - lc2] of one stage or a whole block.
 
-    g1 = lu + lc2 and g2 = lc2 - lu; the table's 2-entry axis is `axis`
-    of the result (last by default).  Every edge's metric is +g1, -g1,
-    +g2 or -g2; _edge_wiring says which.
+    The table's 2-entry axis is `axis` of the result (last by default).
+    Entry K is the metric lu + c2*lc2 of a u=0 edge whose parity bit is
+    K, and its negation that of the u=1 edge from (or into) the same
+    state.  _edge_wiring says which entry each state's edges read.
     """
     lu, lc2 = _checks.float_arrays(lu, lc2)
     shape = np.broadcast_shapes(lu.shape, lc2.shape)
@@ -157,43 +165,42 @@ def compute_branch_metrics(lu, lc2, axis: int = -1) -> np.ndarray:
     table = np.empty(shape[:axis] + (2,) + shape[axis:])
     g = np.moveaxis(table, axis, 0)   # g[i, ...] is an array, even 0-d
     np.add(lu, lc2, out=g[0, ...])
-    np.subtract(lc2, lu, out=g[1, ...])
+    np.subtract(lu, lc2, out=g[1, ...])
     return table
 
 
 def _edge_wiring(edges):
-    """_FWD, _BWD and _LLR_EDGES from the edges' (u, c2) labels.
+    """_FWD and _BWD from the edges' (u, c2) labels.
 
-    An edge's metric is c2*g[K], K = 0 when u == c2 and 1 otherwise; both
-    edges of a state share K.  _FWD and _BWD are (far (2, 8), K (8,)):
-    per end state (forward) or start state (backward), far[0] is the far
-    state of its c2 = +1 edge and far[1] that of its c2 = -1 edge.
-    _LLR_EDGES lists the backward gathers' edges, row * 8 + start state,
-    in the folds' order: u=0 first, each half by start state.  A u=0
-    edge has c2 = +1 exactly when K = 0, so it sits in row K.
+    Each is (far (2, 8), K (8,)): per end state (forward) or start state
+    (backward), far[0] is the far state of its u=0 edge and far[1] that
+    of its u=1 edge.  The two edges differ in c2 too (each butterfly has
+    one u*c2), so both read entry K, the u=0 edge's parity bit, of the
+    table: the u=0 edge's metric is +g[K] and the u=1 edge's -g[K].  K
+    is 1 exactly when u != c2, on either edge.  The backward rows are
+    the LLR folds' order: u=0 first, each half by start state.
     """
-    far = np.zeros((2, 2, 8), dtype=np.intp)   # direction, row, state
+    far = np.zeros((2, 2, 8), dtype=np.intp)   # direction, u bit, state
     k = np.zeros((2, 8), dtype=np.intp)
     for e in edges:
         for d, (state, other) in enumerate([(e.end_state, e.start_state),
                                             (e.start_state, e.end_state)]):
-            far[d, e.parity_bit, state] = other
+            far[d, (1 - e.u) // 2, state] = other
             k[d, state] = e.u != e.c2
-    llr_edges = (8 * np.array([k[1], 1 - k[1]]) + np.arange(8)).ravel()
-    return (far[0], k[0]), (far[1], k[1]), llr_edges
+    return (far[0], k[0]), (far[1], k[1])
 
 
-_FWD, _BWD, _LLR_EDGES = _edge_wiring(EDGES)
+_FWD, _BWD = _edge_wiring(EDGES)
 
 
 def _butterfly(cand, g, mode):
     """8 two-way add-max* updates from gathered metrics, normalized.
 
     cand (2, 8, ...) holds, per output state, the metrics at the far end
-    of its +g edge (row 0) and its -g edge (row 1); g (8, ...) is each
-    state's branch metric.  cand is overwritten.  The state-0 metric is
-    subtracted from all eight.  x - g is bitwise x + (-g): the sums are
-    those of a table that stores -g.
+    of its u=0 edge, which adds g (row 0), and of its u=1 edge, which
+    subtracts it (row 1); g (8, ...) is each state's g[K].  cand is
+    overwritten.  The state-0 metric is subtracted from all eight.  x - g
+    is bitwise x + (-g): the sums are those of a table that stores -g.
     """
     cand[0] += g
     cand[1] -= g
@@ -407,29 +414,42 @@ def siso_decode(inp: SisoInput, config) -> SisoResult:
     A = max(lane_acq, default=0)
 
     # The forward store comes first, and its buffer holds the half-scale
-    # inputs (see module docstring) stage-major and zero-padded to span
-    # until the forward pass overwrites it.  Halving the inputs is exact.
+    # inputs (see module docstring) until the forward pass overwrites it:
+    # block-major and zero-padded to span in its first two sevenths, then
+    # copied stage-major into the next two.  Halving the inputs is exact.
     store = np.empty((span, 7) + batch)
     if _records["allocations"] is not None:
         _records["allocations"].append(store)
     stored = store.reshape(L, lanes, 7, blocks)
-    halves = store.reshape(-1)[:2 * blocks * span].reshape(2, blocks, span)
+    buffer = store.reshape(-1)
+    halves = buffer[:2 * blocks * span].reshape(2, blocks, span)
     halves[:, :, n:] = 0.0
     np.multiply(inp.lu.reshape(blocks, n), 0.5, out=halves[0, :, :n])
     np.multiply(inp.lc2.reshape(blocks, n), 0.5, out=halves[1, :, :n])
-    halves = halves.reshape(2, blocks, lanes, L).transpose(0, 3, 2, 1)   # 2 x (L, lanes, blocks)
-    gam = compute_branch_metrics(halves[0], halves[1], axis=1)  # (L, 2, lanes, blocks)
-    del halves   # a view: it would keep the store's buffer past `del store`
+    staged = buffer[2 * blocks * span:4 * blocks * span].reshape(2, L, lanes, blocks)
+    np.copyto(staged, halves.reshape(2, blocks, lanes, L).transpose(0, 3, 2, 1))
+    gam = compute_branch_metrics(staged[0], staged[1], axis=1)  # (L, 2, lanes, blocks)
+    del buffer, halves, staged   # views: they would keep the store's buffer past `del store`
 
     # Forward recursion.  Windows hand alpha across their shared
-    # boundaries, so this is one continuous pass whatever the schedule.
+    # boundaries, so this is one continuous pass whatever the schedule,
+    # run window by window over each window's contiguous table.
     t_forward = perf_counter()
     alpha = np.full((8, blocks), METRIC_NEG_INF)
     alpha[0] = 0.0
-    for k in range(n):
-        w, j = divmod(k, L)
-        stored[j, w] = alpha[1:]
-        alpha = _kernel(alpha, gam[j, :, w], _FWD, mode)
+    far, k = _FWD
+    for w in range(lanes):
+        gam_w = np.ascontiguousarray(gam[:, :, w])   # (L, 2, blocks); a view with one lane
+        for j in range(min(L, n - w * L)):
+            stored[j, w] = alpha[1:]
+            # _kernel's stage step, written out: two Python calls fewer a stage
+            cand = alpha.take(far, axis=0)
+            g = gam_w[j].take(k, axis=0)
+            cand[0] += g
+            cand[1] -= g
+            out = max_star(cand[0], cand[1], mode)
+            alpha = out - out[0]
+    del gam_w, cand, g, out   # none may outlive the pass (see the peak budget tests)
 
     # Lane rows: row w*blocks + b is lane w of block b, so stage j of
     # every lane is slab [j], and lanes 0..v-1 are its first v*blocks
@@ -453,12 +473,12 @@ def siso_decode(inp: SisoInput, config) -> SisoResult:
         if d == 0:
             alpha_lanes[...] = stored[j].transpose(1, 0, 2)
             a = alpha_col[:, :live]
-            vals = np.empty((2, 8, live))   # (alpha +- g) + beta on each edge
+            # (alpha +- g) + beta on each edge: u=0 edges, then u=1, by start state
+            vals = np.empty((2, 8, live))
             np.add(a, g, out=vals[0])
             np.subtract(a, g, out=vals[1])
             vals += cand
-            vals = vals.reshape(16, live).take(_LLR_EDGES, axis=0)
-            np.subtract(max_star_reduce(vals[:8], mode), max_star_reduce(vals[8:], mode),
+            np.subtract(max_star_reduce(vals[0], mode), max_star_reduce(vals[1], mode),
                         out=gam_rows[j, 0, :live])
         out = _butterfly(cand, g, mode)
         if live == rows:

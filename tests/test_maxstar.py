@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lteturbo.maxstar import METRIC_NEG_INF, MaxStarMode, max_star, max_star_reduce
+from lteturbo.maxstar import (CONSTANT_C, CONSTANT_T, LINEAR_A, LINEAR_T, METRIC_NEG_INF,
+                              MaxStarMode, max_star, max_star_reduce)
 
 ALL_MODES = list(MaxStarMode)
 
@@ -40,6 +41,41 @@ class TestPointValues:
         # the bare else ran the linear correction: "log-map" gave 2.375
         with pytest.raises(TypeError, match="mode must be a MaxStarMode"):
             max_star(x, y, mode)
+
+
+def scalar_max_star(mode, x, y):
+    """The linear or constant rule on Python floats, one pair."""
+    m, d = max(x, y), abs(x - y)
+    if mode is MaxStarMode.LINEAR_LOG:
+        return m + max(0.0, LINEAR_A * (d - LINEAR_T))
+    return m + (CONSTANT_C if d <= CONSTANT_T else 0.0)
+
+
+class TestScalarRounding:
+    """The approximate kernels round, byte for byte, as their formulas do
+    on Python floats: the float64 0-d constants the ufuncs take must not
+    change one operation.  No operand is -0.0, as in a decode, where
+    Python's max and np.maximum may pick different zeros."""
+
+    @pytest.mark.parametrize("mode", [MaxStarMode.LINEAR_LOG, MaxStarMode.CONSTANT_LOG])
+    def test_grid_and_draws_match_python_floats(self, mode):
+        t = LINEAR_T if mode is MaxStarMode.LINEAR_LOG else CONSTANT_T
+        # |x - y| at 0, at T, one ulp either side of T and at the sentinel
+        gaps = [0.0, t, math.nextafter(t, 0.0), math.nextafter(t, math.inf),
+                -METRIC_NEG_INF]
+        x = gaps + [0.0] * len(gaps)
+        y = [0.0] * len(gaps) + [0.0 - g for g in gaps]   # +0.0, not -0.0
+        rng = np.random.default_rng(11)
+        a = rng.normal(0, 4, 4000)
+        b = np.where(np.arange(4000) % 2, rng.normal(0, 4, 4000),
+                     a + rng.uniform(-2 * t, 2 * t, 4000))
+        x, y = np.concatenate([x, a]), np.concatenate([y, b])
+        assert not (np.signbit(x) & (x == 0)).any() and not (np.signbit(y) & (y == 0)).any()
+        want = np.array([scalar_max_star(mode, p, q) for p, q in zip(x.tolist(), y.tolist())])
+        assert max_star(x, y, mode).tobytes() == want.tobytes()
+        for i in range(2 * len(gaps)):   # the 0-d path
+            got = max_star(float(x[i]), float(y[i]), mode)
+            assert np.float64(got).tobytes() == want[i].tobytes()
 
 
 class TestProperties:

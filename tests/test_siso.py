@@ -42,16 +42,17 @@ class TestBranchMetrics:
 
     def test_three_stream_sum(self):
         # lu carries the systematic and a-priori streams summed;
-        # the table is [g1, g2] = [lu + lc2, lc2 - lu]
+        # the table is [lu + lc2, lu - lc2]: the u=0 edges' two metrics
         assert np.array_equal(compute_branch_metrics(1.0 + 2.0, 3.0), [6.0, 0.0])
-        assert np.array_equal(compute_branch_metrics(1.0 + 2.0, 5.0), [8.0, 2.0])
-        assert np.array_equal(compute_branch_metrics(3.0, 0.0), [3.0, -3.0])
+        assert np.array_equal(compute_branch_metrics(1.0 + 2.0, 5.0), [8.0, -2.0])
+        assert np.array_equal(compute_branch_metrics(3.0, 0.0), [3.0, 3.0])
         assert compute_branch_metrics(np.zeros((5, 7)), np.zeros((5, 7))).shape == (5, 7, 2)
 
     def test_derived_signs(self):
-        # row 0 of each state adds its g[K], row 1 subtracts it: over both
-        # directions this must give every trellis edge, once each, its
-        # half-scale metric (u*lu + c2*lc2)/2 exactly
+        # row 0 of each state is its u=0 edge and adds g[K], row 1 its u=1
+        # edge and subtracts it: over both directions this must give every
+        # trellis edge, once each, its half-scale metric (u*lu + c2*lc2)/2
+        # exactly
         edges = {(e.start_state, e.end_state): e for e in EDGES}
         rng = np.random.default_rng(28)
         for _ in range(50):
@@ -60,17 +61,17 @@ class TestBranchMetrics:
             for wiring, forward in ((siso._FWD, True), (siso._BWD, False)):
                 far, k = wiring
                 seen = set()
-                for row, sign in ((0, 1.0), (1, -1.0)):
+                for row, sign, u in ((0, 1.0, 1), (1, -1.0, -1)):
                     for s in range(8):
                         key = (far[row, s], s) if forward else (s, far[row, s])
                         e = edges[key]
+                        assert e.u == u, (key, row)
                         assert sign * g[k[s]] == (e.u * lu + e.c2 * lc2) / 2, (key, row)
                         seen.add(key)
                 assert seen == set(edges)
-        # the LLR folds read the backward rows' edges u=0 first, each
-        # half by start state: the oracle's fold order
-        flat = [(s, far) for row in siso._BWD[0] for s, far in enumerate(row)]
-        order = [flat[i] for i in siso._LLR_EDGES]
+        # the backward rows are the oracle's fold order: the LLR folds
+        # read row 0 (the u=0 edges) and row 1, each by start state
+        order = [(s, far) for row in siso._BWD[0] for s, far in enumerate(row)]
         assert order == sorted(edges, key=lambda se: (-edges[se].u, se[0]))
 
     def test_table_axis(self):
@@ -80,7 +81,7 @@ class TestBranchMetrics:
         assert table.shape == (5, 2, 6, 7) and table.flags.c_contiguous
         assert np.array_equal(table, np.moveaxis(compute_branch_metrics(lu, lc2), -1, 1))
         assert np.array_equal(table[:, 0], lu + lc2)
-        assert np.array_equal(table[:, 1], lc2 - lu)
+        assert np.array_equal(table[:, 1], lu - lc2)
 
 
 def stage_step(prev, gamma_table, direction, mode):

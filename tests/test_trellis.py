@@ -35,7 +35,8 @@ class TestTrellisStructure:
     def test_butterfly_sign_structure(self):
         # within each butterfly -- two start states sharing their two end
         # states -- every edge has the same u*c2, so the u=+1 edges carry
-        # one branch metric (g1 or -g2) and the u=-1 edges its negation
+        # one entry of the branch-metric table (lu + lc2 or lu - lc2)
+        # and the u=-1 edges its negation
         for starts in [(2 * t, 2 * t + 1) for t in range(4)]:
             leaving = [e for e in EDGES if e.start_state in starts]
             assert len(leaving) == 4
