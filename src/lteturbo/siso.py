@@ -437,19 +437,12 @@ def siso_decode(inp: SisoInput, config) -> SisoResult:
     t_forward = perf_counter()
     alpha = np.full((8, blocks), METRIC_NEG_INF)
     alpha[0] = 0.0
-    far, k = _FWD
     for w in range(lanes):
         gam_w = np.ascontiguousarray(gam[:, :, w])   # (L, 2, blocks); a view with one lane
         for j in range(min(L, n - w * L)):
             stored[j, w] = alpha[1:]
-            # _kernel's stage step, written out: two Python calls fewer a stage
-            cand = alpha.take(far, axis=0)
-            g = gam_w[j].take(k, axis=0)
-            cand[0] += g
-            cand[1] -= g
-            out = max_star(cand[0], cand[1], mode)
-            alpha = out - out[0]
-    del gam_w, cand, g, out   # none may outlive the pass (see the peak budget tests)
+            alpha = _kernel(alpha, gam_w[j], _FWD, mode)
+    del gam_w   # it must not outlive the pass (see the peak budget tests)
 
     # Lane rows: row w*blocks + b is lane w of block b, so stage j of
     # every lane is slab [j], and lanes 0..v-1 are its first v*blocks
