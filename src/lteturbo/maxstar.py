@@ -41,9 +41,10 @@ operand rounds each operation exactly as the Python float would, and
 no call converts a float first.  A linear pair at (8, 42) took about
 4.0 -> 3.6 us.  The public CONSTANT_* and LINEAR_* stay floats.
 
-All variants are symmetric and shift-equivariant:
-max*(x+d, y+d) = max*(x,y) + d.  Shift equivariance is what lets the
-decoder renormalise state metrics every stage without changing any LLR.
+Every variant is symmetric in value and shift-equivariant:
+max*(x+d, y+d) = max*(x,y) + d, which lets the decoder renormalise
+state metrics every stage without changing any LLR.  Under MAX_LOG a
+tie of +0.0 and -0.0 returns the second operand, as np.maximum does.
 
 Unreachable trellis states are marked with a large negative sentinel
 (METRIC_NEG_INF) rather than -inf so that sums never produce NaN.  No

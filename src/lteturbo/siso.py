@@ -49,14 +49,13 @@ cost-saving conventions throughout:
   lane, a view).  Inputs are transposed into the layout once and the
   LLRs back once per call.
 
-  Within a slab everything is state-major: alpha and beta are
-  (8, rows), a stage's branch metrics (2, rows) from a
-  (L, 2, lanes, blocks) table, and the forward store
-  (stages, 7) + batch, so a forward step writes alpha[1:] as one slab
-  and a backward step copies the lanes' slabs back as whole rows.
-  Each gather of the wiring tables copies whole rows, the two
-  candidates of a butterfly are contiguous (8, rows) halves, and each
-  LLR fold reduces a contiguous (8, rows) half over axis 0.
+  Within a slab everything is state-major: alpha and beta are (8, rows),
+  a stage's branch metrics (2, rows) (compute_branch_metrics states the
+  table's layout), and the forward store (stages, 7) + batch, so a
+  forward step writes alpha[1:] as one slab and a backward step copies
+  the lanes' slabs back as whole rows.  Each gather of the wiring tables
+  copies whole rows, the two candidates of a butterfly are contiguous
+  (8, rows) halves, and each LLR fold reduces one of them over axis 0.
 
 * LLR output.  Stage j's LLR is formed inside the backward step that
   retires beta's stage-(j+1) column, from that step's own gathers: the
@@ -150,22 +149,27 @@ class OpCounts:
         return dict(vars(self))
 
 
-def compute_branch_metrics(lu, lc2, axis: int = -1) -> np.ndarray:
-    """Branch-metric table [lu + lc2, lu - lc2] of one stage or a whole block.
+def compute_branch_metrics(lu, lc2) -> np.ndarray:
+    """Stage-major branch-metric table [lu + lc2, lu - lc2].
 
-    The table's 2-entry axis is `axis` of the result (last by default).
+    Streams of shape (stages, ...) give a (stages, 2, ...) table, whose
+    row k is stage k's (2, ...) table; 0-d streams (one stage) give (2,).
     Entry K is the metric lu + c2*lc2 of a u=0 edge whose parity bit is
     K, and its negation that of the u=1 edge from (or into) the same
-    state.  _edge_wiring says which entry each state's edges read.
+    state.  _edge_wiring says which entry each state's edges read.  An
+    entry that overflows float64, or is inf - inf, raises ValueError.
     """
     lu, lc2 = _checks.float_arrays(lu, lc2)
     shape = np.broadcast_shapes(lu.shape, lc2.shape)
-    axis = _checks.integer("axis", axis, -len(shape) - 1, len(shape)) % (len(shape) + 1)
     # written in place: no block-sized temporaries besides the table
-    table = np.empty(shape[:axis] + (2,) + shape[axis:])
-    g = np.moveaxis(table, axis, 0)   # g[i, ...] is an array, even 0-d
-    np.add(lu, lc2, out=g[0, ...])
-    np.subtract(lu, lc2, out=g[1, ...])
+    table = np.empty(shape[:1] + (2,) + shape[1:])
+    g = np.moveaxis(table, min(1, len(shape)), 0)   # g[i, ...] is an array, even 0-d
+    try:
+        with np.errstate(over="raise", invalid="raise"):   # no RuntimeWarning, no scan
+            np.add(lu, lc2, out=g[0, ...])
+            np.subtract(lu, lc2, out=g[1, ...])
+    except FloatingPointError:
+        raise ValueError("branch metrics lu +- lc2 overflow float64 or are inf - inf") from None
     return table
 
 
@@ -367,7 +371,7 @@ def _tail_boundary(inp: SisoInput, mode):
     beta = np.full((8, blocks), METRIC_NEG_INF)
     beta[0] = 0.0
     tg = compute_branch_metrics(0.5 * inp.tail_lu.reshape(blocks, 3).T,
-                                0.5 * inp.tail_lc2.reshape(blocks, 3).T, axis=1)
+                                0.5 * inp.tail_lc2.reshape(blocks, 3).T)
     for k in range(2, -1, -1):
         beta = _kernel(beta, tg[k], _BWD, mode)
     return beta
@@ -428,7 +432,7 @@ def siso_decode(inp: SisoInput, config) -> SisoResult:
     np.multiply(inp.lc2.reshape(blocks, n), 0.5, out=halves[1, :, :n])
     staged = buffer[2 * blocks * span:4 * blocks * span].reshape(2, L, lanes, blocks)
     np.copyto(staged, halves.reshape(2, blocks, lanes, L).transpose(0, 3, 2, 1))
-    gam = compute_branch_metrics(staged[0], staged[1], axis=1)  # (L, 2, lanes, blocks)
+    gam = compute_branch_metrics(staged[0], staged[1])   # (L, 2, lanes, blocks)
     del buffer, halves, staged   # views: they would keep the store's buffer past `del store`
 
     # Forward recursion.  Windows hand alpha across their shared

@@ -44,13 +44,6 @@ class DecodeResult:
     per_iteration_llrs: list | None = field(default=None, repr=False)
 
 
-def _quantizer(config: DecoderConfig):
-    if config.quantization is None:
-        return lambda x: x
-    bits, frac = config.quantization
-    return lambda x: quantize_llrs(x, bits, frac)
-
-
 def _saturate(x):
     """x clipped in place to +-_EXCHANGE_LIMIT."""
     return np.clip(x, -_EXCHANGE_LIMIT, _EXCHANGE_LIMIT, out=x)
@@ -73,7 +66,8 @@ def turbo_decode(ch: CodeWord, config: DecoderConfig,
     if systematic.shape[-1:] != (qpp.n,):
         raise ValueError(f"channel LLR shape {systematic.shape} does not match "
                          f"interleaver block size {qpp.n}")
-    quant = _quantizer(config)
+    q = config.quantization
+    quant = (lambda x: x) if q is None else (lambda x: quantize_llrs(x, *q))
     pi = permutation(qpp)
     ip = inverse_permutation(qpp)
 

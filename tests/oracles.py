@@ -198,35 +198,60 @@ def window_reference_llrs(lu, lc2, tail_lu, tail_lc2, mode, window_len,
     return np.array(llrs)
 
 
+# The library's bound on an exchanged extrinsic: half SisoInput's 1e250.
+_EXCHANGE_LIMIT = 0.5 * 1.0e250
+
+
+def _ref_quantize(x, bits, frac_bits):
+    """Saturating round-half-even onto the (bits, frac_bits) grid, on one
+    float; the sign of a value that rounds to zero is kept, as numpy's
+    round keeps it."""
+    step = 2.0 ** -frac_bits
+    lo, hi = -(2 ** (bits - 1)) * step, (2 ** (bits - 1) - 1) * step
+    v = min(max(x, lo), hi) / step
+    return math.copysign(round(v), v) * step
+
+
 def turbo_reference_decode(lu, parity1, parity2, tail1_info, tail1_parity,
                            tail2_info, tail2_parity, f1, f2, iterations, mode,
-                           normalize, c, t, a, t_lin):
+                           normalize, c, t, a, t_lin, window_len=None,
+                           acquisition_len=0, quantization=None):
     """Iterative turbo decode of one block with window_reference_llrs.
 
-    Each constituent is decoded as one window; the interleaver is the QPP
-    pi(i) = (f1*i + f2*i^2) mod n, computed here.  Per full iteration:
-    decoder 1 sees lu + apriori and parity1, its extrinsic (output minus
-    its lu input) is interleaved and added to the interleaved lu for
-    decoder 2 on parity2, and decoder 2's extrinsic, deinterleaved, is
-    the next a-priori input.  Returns (final LLRs, hard bits), the final
-    LLRs being lu + extrinsic1 + apriori after the last iteration and a
-    hard bit 1 where they are negative.
+    Each constituent is decoded in windows of window_len stages (None:
+    one window) that acquire over acquisition_len stages; the
+    interleaver is the QPP pi(i) = (f1*i + f2*i^2) mod n, computed here.
+    Per full iteration: decoder 1 sees lu + apriori and parity1, its
+    extrinsic (output minus its lu input) is saturated at
+    +-_EXCHANGE_LIMIT and interleaved and added to the interleaved lu
+    for decoder 2 on parity2, and decoder 2's extrinsic, saturated and
+    deinterleaved, is the next a-priori input.  quantization, a (bits,
+    frac_bits) pair or None, rounds the systematic and tail LLRs once on
+    entry, each parity stream at its decoder's call and each exchanged
+    extrinsic after its saturation.  Returns (final LLRs, hard bits), the
+    final LLRs being (lu + extrinsic1) + apriori after the last iteration
+    and a hard bit 1 where they are negative.
     """
     n = len(lu)
     pi = [(f1 * i + f2 * i * i) % n for i in range(n)]
-    lu = [float(x) for x in lu]
+    window = n if window_len is None else window_len
+    quant = (lambda xs: [float(x) for x in xs]) if quantization is None else (
+        lambda xs: [_ref_quantize(float(x), *quantization) for x in xs])
+    sat = lambda x: min(max(x, -_EXCHANGE_LIMIT), _EXCHANGE_LIMIT)
+    lu = quant(lu)
+    tails = [quant(x) for x in (tail1_info, tail1_parity, tail2_info, tail2_parity)]
+
+    def decode(inp, parity, tail_lu, tail_lc2):
+        out = window_reference_llrs(inp, quant(parity), tail_lu, tail_lc2, mode, window,
+                                    acquisition_len, normalize, c, t, a, t_lin)
+        return quant([sat(float(o) - x) for o, x in zip(out, inp)])
+
     apriori = [0.0] * n
     for _ in range(iterations):
-        in1 = [x + y for x, y in zip(lu, apriori)]
-        out1 = window_reference_llrs(in1, list(parity1), list(tail1_info),
-                                     list(tail1_parity), mode, n, 0, normalize,
-                                     c, t, a, t_lin)
-        ext1 = [float(o) - x for o, x in zip(out1, in1)]
+        ext1 = decode([x + y for x, y in zip(lu, apriori)], parity1, *tails[:2])
         in2 = [lu[pi[i]] + ext1[pi[i]] for i in range(n)]
-        out2 = window_reference_llrs(in2, list(parity2), list(tail2_info),
-                                     list(tail2_parity), mode, n, 0, normalize,
-                                     c, t, a, t_lin)
+        ext2 = decode(in2, parity2, *tails[2:])
         for i in range(n):
-            apriori[pi[i]] = float(out2[i]) - in2[i]
-    final = np.array([x + e + p for x, e, p in zip(lu, ext1, apriori)])
+            apriori[pi[i]] = ext2[i]
+    final = np.array([(x + e) + p for x, e, p in zip(lu, ext1, apriori)])
     return final, (final < 0).astype(np.uint8)

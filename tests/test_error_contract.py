@@ -360,14 +360,15 @@ def test_serialize_codeword(cw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(lu=ARRAYS, lc2=ARRAYS, axis=st.one_of(st.integers(-4, 4), HOSTILE))
-@example(lu=[10 ** 400], lc2=[1.0], axis=-1)
-@example(lu=[10 ** 400], lc2=[None], axis=-1)
-@example(lu=[1.0], lc2=[1.0], axis=5)
-def test_compute_branch_metrics(lu, lc2, axis):
-    table = refused_or_returned(compute_branch_metrics, lu, lc2, axis)
-    if table is not None:
-        assert table.ndim >= 1 and 2 in table.shape
+@given(lu=ARRAYS, lc2=ARRAYS)
+@example(lu=[10 ** 400], lc2=[1.0])
+@example(lu=[10 ** 400], lc2=[None])
+@example(lu=[np.inf], lc2=[np.inf])   # inf - inf warned, and the suite made it an error
+@example(lu=[1e308], lc2=[1e308])     # so did the overflowing sum
+def test_compute_branch_metrics(lu, lc2):
+    table = refused_or_returned(compute_branch_metrics, lu, lc2)
+    if table is not None:   # stage-major: (stages, 2, ...), or (2,) for one stage
+        assert table.shape[min(1, table.ndim - 1)] == 2
     refusal = refused_with(compute_branch_metrics, lu, lc2)
     assert isinstance(refusal, TypeError) != (real_numbers(lu) and real_numbers(lc2))
 

@@ -81,9 +81,13 @@ class TestScalarRounding:
 class TestProperties:
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_symmetry(self, mode):
+        # in value, ties of +0.0 and -0.0 included
         rng = np.random.default_rng(1)
         x, y = rng.normal(0, 10, (2, 500))
+        x[:4], y[:4] = [0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, 0.0, -0.0]
         assert np.array_equal(max_star(x, y, mode), max_star(y, x, mode))
+        if mode is MaxStarMode.MAX_LOG:   # a zero tie returns the second operand's sign
+            assert np.signbit(max_star(x[:4], y[:4], mode)).tolist() == np.signbit(y[:4]).tolist()
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_bounded_correction(self, mode):

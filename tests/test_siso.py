@@ -46,7 +46,7 @@ class TestBranchMetrics:
         assert np.array_equal(compute_branch_metrics(1.0 + 2.0, 3.0), [6.0, 0.0])
         assert np.array_equal(compute_branch_metrics(1.0 + 2.0, 5.0), [8.0, -2.0])
         assert np.array_equal(compute_branch_metrics(3.0, 0.0), [3.0, 3.0])
-        assert compute_branch_metrics(np.zeros((5, 7)), np.zeros((5, 7))).shape == (5, 7, 2)
+        assert compute_branch_metrics(np.zeros((5, 7)), np.zeros((5, 7))).shape == (5, 2, 7)
 
     def test_derived_signs(self):
         # row 0 of each state is its u=0 edge and adds g[K], row 1 its u=1
@@ -75,13 +75,14 @@ class TestBranchMetrics:
         assert order == sorted(edges, key=lambda se: (-edges[se].u, se[0]))
 
     def test_table_axis(self):
-        # the decoder's stage-major table puts the 2 entries on axis 1
+        # the table is stage-major: stage k's (2, ...) table is table[k]
         lu, lc2 = np.random.default_rng(26).normal(0, 3, (2, 5, 6, 7))
-        table = compute_branch_metrics(lu, lc2, axis=1)
+        table = compute_branch_metrics(lu, lc2)
         assert table.shape == (5, 2, 6, 7) and table.flags.c_contiguous
-        assert np.array_equal(table, np.moveaxis(compute_branch_metrics(lu, lc2), -1, 1))
-        assert np.array_equal(table[:, 0], lu + lc2)
-        assert np.array_equal(table[:, 1], lu - lc2)
+        assert table.tobytes() == np.stack([lu + lc2, lu - lc2], axis=1).tobytes()
+        # a 0-d stream pair is one stage
+        assert table[4, :, 5, 6].tobytes() == compute_branch_metrics(lu[4, 5, 6],
+                                                                     lc2[4, 5, 6]).tobytes()
 
 
 def stage_step(prev, gamma_table, direction, mode):
@@ -484,6 +485,34 @@ class TestStageMajorLayout:
             one = siso_decode(row(inp, i), cfg)
             assert one.llr_out.tobytes() == batch.llr_out[i].tobytes()
             assert one.extrinsic.tobytes() == batch.extrinsic[i].tobytes()
+
+
+class TestNoNegativeZeroMetric:
+    """The u-major butterfly adds g on one edge and subtracts it on the
+    other, which is order-free only while no metric is -0.0 (see the
+    siso module docstring).  6:2-quantized LLRs hold -0.0 entries, so
+    they must not reach the forward store or the tail boundary."""
+
+    @pytest.mark.parametrize("window_len", [None, 16])
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_quantized_inputs_give_no_negative_zero(self, mode, window_len):
+        n, blocks = 100, 4
+        rng = np.random.default_rng(29)
+        inp = SisoInput(*(quantize_llrs(rng.normal(0, 1, (blocks, k)), 6, 2)
+                          for k in (n, n, 3, 3)))
+        streams = np.concatenate([inp.lu, inp.lc2, inp.tail_lu, inp.tail_lc2], axis=-1)
+        assert np.signbit(streams[streams == 0]).sum() > 20
+        with track_metric_allocations() as log:
+            siso_decode(inp, config_for(mode, window_len=window_len, acquisition_len=8))
+        # store row j*lanes + w is stage w*L + j; rows past the block are padding
+        L = n if window_len is None else window_len
+        lanes = -(-n // L)
+        store = log[0].reshape(L, lanes, 7, blocks)
+        stages = np.arange(L)[:, None] + L * np.arange(lanes) < n
+        alpha = store[stages]
+        assert alpha.size == 7 * n * blocks and not np.signbit(alpha[alpha == 0]).any()
+        beta = siso._tail_boundary(inp, mode)
+        assert not np.signbit(beta[beta == 0]).any()
 
 
 class TestWindowReference:

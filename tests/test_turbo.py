@@ -1,18 +1,22 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lteturbo import _checks, turbo
 from lteturbo.channel import ChannelConfig
-from lteturbo.maxstar import MaxStarMode
-from lteturbo.qpp import inverse_permutation, params_for_block_size, permutation
+from lteturbo.maxstar import CONSTANT_C, CONSTANT_T, LINEAR_A, LINEAR_T, MaxStarMode
+from lteturbo.qpp import QppParams, inverse_permutation, params_for_block_size, permutation
 from lteturbo.siso import SisoInput, siso_decode
 from lteturbo.trellis import CodeWord, turbo_encode
 from lteturbo.turbo import DecoderConfig, run_monte_carlo, simulate_blocks, turbo_decode
+
+from oracles import dyadic, turbo_reference_decode
 
 QPP40 = params_for_block_size(40)
 
@@ -227,6 +231,74 @@ class TestTurboDecode:
         config = DecoderConfig(mode=MaxStarMode.MAX_LOG, iterations=4, qpp=QPP40,
                                quantization=(6, 2))
         assert np.array_equal(turbo_decode(ch, config).hard_bits, bits)
+
+
+@functools.cache
+def bijective_qpps(n):
+    """Every QppParams(n, f1, f2) that passes the bijection check."""
+    pairs = []
+    for f1 in range(1, n, 2):
+        for f2 in range(0, n, 2):
+            try:
+                pairs.append(QppParams(n, f1, f2))
+            except ValueError:   # f(x) is no bijection
+                pass
+    return pairs
+
+
+@st.composite
+def turbo_cases(draw):
+    """(channel LLRs of 1-3 blocks, DecoderConfig) for a small drawn QPP.
+
+    The LLRs are a code word's bipolar labels times a drawn mean plus
+    noise, all on the 2**-6 grid; windows may not divide n, and the
+    acquisition runs from 0 to past the tail."""
+    n = draw(st.sampled_from(range(8, 65, 4)))
+    qpp = draw(st.sampled_from(bijective_qpps(n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mean = draw(st.sampled_from([0.0, 1.0, 4.0]))
+    bits = rng.integers(0, 2, (draw(st.integers(1, 3)), n), dtype=np.uint8)
+    cw = turbo_encode(bits, qpp)
+    noisy = lambda labels: mean * (1.0 - 2.0 * labels) + dyadic(rng, labels.shape, scale=2.0)
+    ch = CodeWord(*(noisy(getattr(cw, f.name)) for f in dataclasses.fields(cw)))
+    window = draw(st.one_of(st.none(), st.integers(1, n + 4)))
+    quant = draw(st.one_of(st.none(), st.integers(2, 16).flatmap(
+        lambda bits: st.tuples(st.just(bits), st.integers(0, bits - 1)))))
+    config = DecoderConfig(mode=draw(st.sampled_from(list(MaxStarMode))),
+                           iterations=draw(st.integers(1, 4)), qpp=qpp, window_len=window,
+                           acquisition_len=draw(st.integers(0, n + 4)), quantization=quant)
+    return ch, config
+
+
+class TestTurboReference:
+    """turbo_decode against the scalar turbo loop of tests/oracles.py,
+    which shares no code with the library, for every schedule: windows,
+    acquisition, quantization and batches.  Max-log, constant and linear
+    match bit for bit; log-map, whose max* rounds apart from libm's,
+    within LOG_MAP_ATOL."""
+
+    LOG_MAP_ATOL = 1e-12   # the worst of 1566 log-map rows drawn read 1.7e-13
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=turbo_cases())
+    def test_turbo_decode_matches_reference(self, case):
+        ch, config = case
+        res = turbo_decode(ch, config)
+        streams = [getattr(ch, f.name) for f in dataclasses.fields(ch)]
+        for b in range(len(ch.systematic)):
+            want_llrs, want_bits = turbo_reference_decode(
+                *(x[b].tolist() for x in streams), config.qpp.f1, config.qpp.f2,
+                config.iterations, config.mode.value, True,
+                CONSTANT_C, CONSTANT_T, LINEAR_A, LINEAR_T, window_len=config.window_len,
+                acquisition_len=config.acquisition_len, quantization=config.quantization)
+            if config.mode is MaxStarMode.LOG_MAP:
+                np.testing.assert_allclose(res.final_llrs[b], want_llrs, rtol=0,
+                                           atol=self.LOG_MAP_ATOL)
+                clear = np.abs(want_llrs) > self.LOG_MAP_ATOL
+                assert np.array_equal(res.hard_bits[b][clear], want_bits[clear])
+            else:
+                assert res.final_llrs[b].tobytes() == want_llrs.tobytes()
+                assert res.hard_bits[b].tobytes() == want_bits.tobytes()
 
 
 def traced_peak(fn):
