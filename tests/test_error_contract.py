@@ -363,8 +363,8 @@ def test_serialize_codeword(cw):
 @given(lu=ARRAYS, lc2=ARRAYS)
 @example(lu=[10 ** 400], lc2=[1.0])
 @example(lu=[10 ** 400], lc2=[None])
-@example(lu=[np.inf], lc2=[np.inf])   # inf - inf warned, and the suite made it an error
-@example(lu=[1e308], lc2=[1e308])     # so did the overflowing sum
+@example(lu=[np.inf], lc2=[np.inf])   # inf - inf: a ValueError, not a RuntimeWarning
+@example(lu=[1e308], lc2=[1e308])     # an overflowing sum: the same
 def test_compute_branch_metrics(lu, lc2):
     table = refused_or_returned(compute_branch_metrics, lu, lc2)
     if table is not None:   # stage-major: (stages, 2, ...), or (2,) for one stage
