@@ -65,7 +65,9 @@ def float_arrays(*operands) -> list[np.ndarray]:
 
 def bounded(name: str, a: np.ndarray, limit: float) -> np.ndarray:
     """a, if every |value| is finite and at most limit."""
-    if not np.abs(a).max(initial=0.0) <= limit:   # NaN fails the <= too
+    # two reductions, no |a| temporary; NaN propagates and fails a compare
+    if not (np.maximum.reduce(a, axis=None, initial=-limit) <= limit
+            and np.minimum.reduce(a, axis=None, initial=limit) >= -limit):
         raise ValueError(f"{name} must be finite and within +-{limit:g}")
     return a
 

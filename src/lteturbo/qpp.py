@@ -128,7 +128,9 @@ def qpp_index(params: QppParams, x: int) -> int:
 def permutation(params: QppParams) -> np.ndarray:
     """The full permutation pi with pi[x] = f(x), as an int64 vector.
 
-    Interleaving a vector v is the gather v[pi].
+    Interleaving a vector v is the gather v[pi]; interleave a batch
+    (..., n) with v.take(pi, axis=-1), which, unlike v[..., pi], returns
+    a C-ordered array.
     """
     _checks.instance("params", params, QppParams)
     x = np.arange(params.n, dtype=np.int64)

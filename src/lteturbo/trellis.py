@@ -132,5 +132,5 @@ def turbo_encode(bits, params: QppParams) -> CodeWord:
     if bits.shape[-1] != params.n:
         raise ValueError(f"input length {bits.shape[-1]} does not match block size {params.n}")
     parity1, *tail1 = rsc_encode(bits)
-    parity2, *tail2 = rsc_encode(bits[..., pi])
+    parity2, *tail2 = rsc_encode(bits.take(pi, axis=-1))
     return CodeWord(bits, parity1, parity2, *tail1, *tail2)

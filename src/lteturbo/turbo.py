@@ -18,7 +18,10 @@ exchanged extrinsic at that half, so no number of iterations can push
 an input past the bound.
 
 All decode entry points accept a leading batch axis on the LLR arrays;
-the Monte-Carlo helper below relies on it.
+the Monte-Carlo helper below relies on it.  Interleaving gathers with
+v.take(pi, axis=-1): on a batch, v[..., pi] returns the same values
+F-ordered, so decoder 2's lu, every later decoder-1 lu and final_llrs
+would be read transposed.  take returns them C-ordered.
 """
 
 import time
@@ -93,17 +96,17 @@ def turbo_decode(ch: CodeWord, config: DecoderConfig,
         ops += s1.ops
         del s1
         ext1 = quant(_saturate(ext1))
-        lu2 = np.add(lu, ext1, out=ext1)[..., pi]
+        lu2 = np.add(lu, ext1, out=ext1).take(pi, axis=-1)
         del ext1
         s2 = siso_decode(SisoInput(lu=lu2, lc2=quant(ch.parity2),
                                    tail_lu=t2i, tail_lc2=t2p), config)
         ext2 = s2.extrinsic
         ops += s2.ops
         del s2
-        apriori = quant(_saturate(ext2))[..., ip]
+        apriori = quant(_saturate(ext2)).take(ip, axis=-1)
         del ext2
         if trace is not None or i == config.iterations:
-            combined = lu2[..., ip] + apriori
+            combined = lu2.take(ip, axis=-1) + apriori
             if trace is not None:
                 trace.append(combined)
         del lu2

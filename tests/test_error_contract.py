@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lteturbo import cli
+from lteturbo import _checks, cli
 from lteturbo.channel import (ChannelConfig, block_rng, bpsk_modulate, llr_demap,
                               serialize_codeword, split_llrs)
 from lteturbo.maxstar import MaxStarMode, max_star, max_star_reduce
@@ -108,6 +108,27 @@ def test_siso_input(streams):
     # the kinds of all four streams are checked before any value
     refusal = refused_with(SisoInput, *streams)
     assert isinstance(refusal, TypeError) != all(map(real_numbers, streams))
+
+
+LIMIT = 1e250
+
+
+@pytest.mark.parametrize("value, within", [
+    (np.nan, False), (np.inf, False), (-np.inf, False), (1.01 * LIMIT, False),
+    (-1.01 * LIMIT, False), (LIMIT, True), (-LIMIT, True), (-0.0, True)])
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+def test_bounded_verdicts(value, within, shape):
+    # _checks.bounded is where LLRs enter the decoder; the value sits
+    # last, so a scan that stopped early would miss it
+    a = np.full(shape, 1.0)
+    a[np.unravel_index(a.size - 1, shape)] = value
+    refusal = refused_with(_checks.bounded, "LLRs", a, LIMIT)
+    assert refusal is None if within else isinstance(refusal, ValueError)
+
+
+@pytest.mark.parametrize("shape", [(0,), (2, 0)])
+def test_bounded_accepts_empty_arrays(shape):
+    assert _checks.bounded("LLRs", np.zeros(shape), LIMIT).shape == shape
 
 
 @settings(max_examples=100, deadline=None)

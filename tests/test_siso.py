@@ -487,6 +487,38 @@ class TestStageMajorLayout:
             assert one.extrinsic.tobytes() == batch.extrinsic[i].tobytes()
 
 
+class TestSlabCopies:
+    """The stage-major copies go in slabs where the source stride is long;
+    each must equal one plain copy of the same transposed view."""
+
+    @pytest.mark.parametrize("batch", [(), (2, 3), (7,), (8,), (9,), (257,)])
+    @pytest.mark.parametrize("window_len", [None, 64])   # 300 stages: 5 lanes, the last 44
+    def test_slab_copies_equal_a_plain_copy(self, batch, window_len, monkeypatch):
+        n = 300   # staging reads rows 320 * 8 B apart: in slabs of 8 blocks
+        rng = np.random.default_rng(37)
+        inp = SisoInput(*(rng.normal(0, 4, batch + (m,)) for m in (n, n, 3, 3)))
+        strides = []
+        copy = siso._copy_in_slabs
+
+        def spy(dst, src):
+            want = np.empty_like(dst)
+            np.copyto(want, src)
+            assert copy(dst, src) is dst
+            assert dst.tobytes() == want.tobytes()
+            strides.append(src.strides[-1])
+            return dst
+
+        monkeypatch.setattr(siso, "_copy_in_slabs", spy)
+        siso_decode(inp, config_for(MaxStarMode.MAX_LOG, window_len=window_len,
+                                    acquisition_len=16))
+        assert len(strides) == 2
+        assert strides[0] >= siso._SLAB_STRIDE   # staging: slabs of blocks
+        # the LLRs back: slabs of stages once 2 * lanes * blocks * 8 B >= 2 KiB
+        lanes = 1 if window_len is None else 5
+        blocks = int(np.prod(batch))
+        assert (strides[1] >= siso._SLAB_STRIDE) == (lanes * blocks >= 128)
+
+
 class TestNoNegativeZeroMetric:
     """The u-major butterfly adds g on one edge and subtracts it on the
     other, which is order-free only while no metric is -0.0 (see the

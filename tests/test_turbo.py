@@ -301,6 +301,35 @@ class TestTurboReference:
                 assert res.hard_bits[b].tobytes() == want_bits.tobytes()
 
 
+class TestLayout:
+    """Every block-sized array of a decode is C-ordered: a fancy-index
+    gather v[..., pi] of a batch is F-ordered, and the next SISO call
+    would read its input transposed."""
+
+    @pytest.mark.parametrize("batch", [(4,), (2, 3)])
+    @pytest.mark.parametrize("window_len, quantization", [(None, None), (16, (6, 2))])
+    def test_siso_inputs_and_results_are_c_contiguous(self, batch, window_len, quantization,
+                                                      monkeypatch):
+        sigma2 = ChannelConfig.for_block_size(40, 2.0).noise_variance
+        _, ch = simulate_blocks(QPP40, sigma2, 36, 0, math.prod(batch))
+        ch = CodeWord(*(getattr(ch, f.name).reshape(batch + (-1,))
+                        for f in dataclasses.fields(ch)))
+        seen = []
+        decode = turbo.siso_decode
+
+        def spy(inp, config):
+            seen.append(inp.lu)
+            return decode(inp, config)
+
+        monkeypatch.setattr(turbo, "siso_decode", spy)
+        config = DecoderConfig(iterations=3, qpp=QPP40, window_len=window_len,
+                               acquisition_len=8, quantization=quantization)
+        res = turbo_decode(ch, config)
+        assert len(seen) == 6
+        assert all(lu.shape == batch + (40,) and lu.flags.c_contiguous for lu in seen)
+        assert res.final_llrs.flags.c_contiguous and res.hard_bits.flags.c_contiguous
+
+
 def traced_peak(fn):
     """Peak bytes numpy and Python allocate while fn() runs."""
     tracemalloc.start()
